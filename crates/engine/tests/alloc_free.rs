@@ -2,57 +2,51 @@
 //! event loop performs **zero heap allocations per event**, and a reused
 //! [`SimWorkspace`] makes entire repeat runs allocation-free.
 //!
-//! A counting global allocator tallies every allocation on this thread;
-//! the tests warm the workspace (first runs grow the arenas to their
-//! high-water marks), snapshot the counter, then drive thousands more
-//! events/runs and assert the counter did not move.
+//! [`bc_testkit::CountingAlloc`] tallies every allocation on the
+//! measuring thread; the tests warm the workspace (first runs grow the
+//! arenas to their high-water marks), then drive thousands more
+//! events/runs inside [`count_allocs`] and assert the count did not
+//! move. Counting is switched per thread, so tests running concurrently
+//! cannot turn each other's measurement off, and the probe tests show
+//! that one deliberate allocation in the counted region trips each proof.
 
-use bc_engine::{NullSink, RingRecorder, SimConfig, SimWorkspace, Simulation};
+use bc_engine::{NullSink, RingRecorder, SimConfig, SimWorkspace, Simulation, TraceSink};
 use bc_platform::{RandomTreeConfig, Tree};
 use bc_simcore::split_seed;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-thread_local! {
-    // const-init: no lazy initialization, so reading the counter from
-    // inside `alloc` cannot itself allocate or recurse.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.with(|c| c.set(c.get() + 1));
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.with(|c| c.set(c.get() + 1));
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use bc_testkit::{count_allocs, CountingAlloc};
+use std::hint::black_box;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocs() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
-
 fn random_tree(seed: u64) -> Tree {
     RandomTreeConfig::default().generate(seed)
+}
+
+/// A deliberate allocation, for the probes that show a proof can fail.
+fn probe_alloc() {
+    black_box(Box::new(0u64));
+}
+
+/// Warms `sim` until 2000 tasks have completed, then counts the
+/// allocations of up to 5000 further steps, calling `probe` after each.
+fn steady_state_allocs<S: TraceSink>(mut sim: Simulation<S>, probe: impl Fn()) -> u64 {
+    sim.start();
+    // Warm up: completion_times is pre-reserved, but the agenda heap,
+    // free list, and per-node queues reach their high-water marks only
+    // once the pipeline is saturated.
+    while sim.completed() < 2000 {
+        assert!(sim.step(), "run ended during warm-up");
+    }
+    count_allocs(|| {
+        for _ in 0..5000 {
+            if !sim.step() {
+                break;
+            }
+            probe();
+        }
+    })
+    .0
 }
 
 /// Within one run: once start-up has passed, each further event touches
@@ -68,29 +62,9 @@ fn steady_state_loop_is_allocation_free_per_event() {
         SimConfig::interruptible(3, 4000).with_checked(false),
         SimConfig::non_interruptible(1, 4000).with_checked(false),
     ] {
-        let mut sim = Simulation::with_workspace(random_tree(7), cfg, SimWorkspace::new());
-        sim.start();
-        // Warm up: completion_times is pre-reserved, but the agenda heap,
-        // free list, and per-node queues reach their high-water marks only
-        // once the pipeline is saturated.
-        while sim.completed() < 2000 {
-            assert!(sim.step(), "run ended during warm-up");
-        }
-        COUNTING.store(true, Ordering::SeqCst);
-        let before = allocs();
-        for _ in 0..5000 {
-            if !sim.step() {
-                break;
-            }
-        }
-        let after = allocs();
-        COUNTING.store(false, Ordering::SeqCst);
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state event loop allocated ({:?})",
-            sim.now()
-        );
+        let sim = Simulation::with_workspace(random_tree(7), cfg, SimWorkspace::new());
+        let allocs = steady_state_allocs(sim, || {});
+        assert_eq!(allocs, 0, "steady-state event loop allocated");
     }
 }
 
@@ -101,26 +75,9 @@ fn steady_state_loop_is_allocation_free_per_event() {
 #[test]
 fn null_sink_traced_loop_is_allocation_free_per_event() {
     let cfg = SimConfig::interruptible(3, 4000).with_checked(false);
-    let mut sim = Simulation::traced(random_tree(7), cfg, SimWorkspace::new(), NullSink);
-    sim.start();
-    while sim.completed() < 2000 {
-        assert!(sim.step(), "run ended during warm-up");
-    }
-    COUNTING.store(true, Ordering::SeqCst);
-    let before = allocs();
-    for _ in 0..5000 {
-        if !sim.step() {
-            break;
-        }
-    }
-    let after = allocs();
-    COUNTING.store(false, Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "NullSink-traced event loop allocated ({:?})",
-        sim.now()
-    );
+    let sim = Simulation::traced(random_tree(7), cfg, SimWorkspace::new(), NullSink);
+    let allocs = steady_state_allocs(sim, || {});
+    assert_eq!(allocs, 0, "NullSink-traced event loop allocated");
 }
 
 /// And the "cheap when on" half: a [`RingRecorder`] preallocates its ring
@@ -130,32 +87,27 @@ fn null_sink_traced_loop_is_allocation_free_per_event() {
 fn ring_recorder_traced_loop_is_allocation_free_per_event() {
     let cfg = SimConfig::interruptible(3, 4000).with_checked(false);
     let sink = RingRecorder::new(512);
-    let mut sim = Simulation::traced(random_tree(7), cfg, SimWorkspace::new(), sink);
-    sim.start();
-    while sim.completed() < 2000 {
-        assert!(sim.step(), "run ended during warm-up");
-    }
-    COUNTING.store(true, Ordering::SeqCst);
-    let before = allocs();
-    for _ in 0..5000 {
-        if !sim.step() {
-            break;
-        }
-    }
-    let after = allocs();
-    COUNTING.store(false, Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "RingRecorder-traced event loop allocated ({:?})",
-        sim.now()
+    let sim = Simulation::traced(random_tree(7), cfg, SimWorkspace::new(), sink);
+    let allocs = steady_state_allocs(sim, || {});
+    assert_eq!(allocs, 0, "RingRecorder-traced event loop allocated");
+}
+
+/// The per-event proofs can fail: the same measurement with one
+/// deliberate allocation per step counts every one of them.
+#[test]
+fn probe_allocation_trips_the_per_event_proof() {
+    let cfg = SimConfig::interruptible(3, 4000).with_checked(false);
+    let sim = Simulation::with_workspace(random_tree(7), cfg, SimWorkspace::new());
+    let allocs = steady_state_allocs(sim, probe_alloc);
+    assert!(
+        allocs >= 5000,
+        "counter missed deliberate allocations ({allocs})"
     );
 }
 
-/// Across runs: after a few campaign iterations warm the workspace,
-/// whole simulations (construction included) run without allocating.
-#[test]
-fn reused_workspace_makes_repeat_runs_allocation_free() {
+/// Allocations per run of `runs` repeat simulations on a warmed
+/// workspace, calling `probe` inside the counted region once per run.
+fn repeat_run_allocs(runs: u64, probe: impl Fn()) -> u64 {
     let cfg = SimConfig::interruptible(3, 500).with_checked(false);
     let mut ws = SimWorkspace::new();
     let tree = random_tree(split_seed(42, 9));
@@ -164,31 +116,54 @@ fn reused_workspace_makes_repeat_runs_allocation_free() {
         let r = ws.run(tree.clone(), cfg.clone());
         assert_eq!(r.tasks_completed(), 500);
     }
-    let trees: Vec<Tree> = (0..5).map(|_| tree.clone()).collect();
-    COUNTING.store(true, Ordering::SeqCst);
-    let before = allocs();
-    for t in trees {
-        // `t` is consumed and dropped inside; only `into_result`'s final
-        // trace vectors allocate, and those are the product we measure
-        // separately below.
-        let (result, returned) =
-            Simulation::with_workspace(t, cfg.clone(), std::mem::take(&mut ws)).run_reusing();
-        ws = returned;
-        // RunResult construction allocates its per-node summary vectors
-        // (the completion_times Vec is moved, not copied); everything else
-        // must be free.
-        assert_eq!(result.tasks_completed(), 500);
-        drop(result);
-    }
-    let after = allocs();
-    COUNTING.store(false, Ordering::SeqCst);
-    // Per run: exactly the six per-node summary vectors plus the next
-    // run's completion_times/checkpoint reserve — a small constant,
-    // independent of event count (~570k events would otherwise show up
-    // as tens of thousands of allocations).
-    let per_run = (after - before) / 5;
+    let trees: Vec<Tree> = (0..runs).map(|_| tree.clone()).collect();
+    let (allocs, ()) = count_allocs(|| {
+        for t in trees {
+            // `t` is consumed and dropped inside; only `into_result`'s
+            // final trace vectors allocate, and those are the product we
+            // measure separately below.
+            let (result, returned) =
+                Simulation::with_workspace(t, cfg.clone(), std::mem::take(&mut ws)).run_reusing();
+            ws = returned;
+            // RunResult construction allocates its per-node summary
+            // vectors (the completion_times Vec is moved, not copied);
+            // everything else must be free.
+            assert_eq!(result.tasks_completed(), 500);
+            drop(result);
+            probe();
+        }
+    });
+    allocs / runs
+}
+
+/// Per run: exactly the six per-node summary vectors plus the next run's
+/// completion_times/checkpoint reserve — a small constant, independent
+/// of event count (~570k events would otherwise show up as tens of
+/// thousands of allocations).
+const REPEAT_RUN_ALLOC_BOUND: u64 = 16;
+
+/// Across runs: after a few campaign iterations warm the workspace,
+/// whole simulations (construction included) run without allocating.
+#[test]
+fn reused_workspace_makes_repeat_runs_allocation_free() {
+    let per_run = repeat_run_allocs(5, || {});
     assert!(
-        per_run <= 16,
+        per_run <= REPEAT_RUN_ALLOC_BOUND,
         "expected only constant per-run result allocations, got {per_run} per run"
+    );
+}
+
+/// The repeat-run proof can fail: one more deliberate allocation per run
+/// than the bound allows pushes the per-run count past it.
+#[test]
+fn probe_allocation_trips_the_repeat_run_proof() {
+    let per_run = repeat_run_allocs(5, || {
+        for _ in 0..=REPEAT_RUN_ALLOC_BOUND {
+            probe_alloc();
+        }
+    });
+    assert!(
+        per_run > REPEAT_RUN_ALLOC_BOUND,
+        "counter missed deliberate allocations ({per_run} per run)"
     );
 }

@@ -16,46 +16,11 @@ use bc_experiments::campaign::{
 };
 use bc_metrics::OnsetConfig;
 use bc_platform::RandomTreeConfig;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-thread_local! {
-    // const-init: no lazy initialization, so reading the counter from
-    // inside `alloc` cannot itself allocate or recurse.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.with(|c| c.set(c.get() + 1));
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.with(|c| c.set(c.get() + 1));
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use bc_testkit::{count_allocs, CountingAlloc};
+use std::hint::black_box;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.with(|c| c.get())
-}
 
 fn campaign(tasks: u64) -> CampaignConfig {
     CampaignConfig {
@@ -85,35 +50,65 @@ fn campaign(tasks: u64) -> CampaignConfig {
 /// cost showing up per event.
 #[test]
 fn fold_is_constant_and_merge_is_allocation_free() {
+    let (fold_allocs, merge_allocs, runs) = fold_and_merge_allocs(|| {});
+    assert_eq!(merge_allocs, 0, "accumulator merge allocated");
+    assert!(
+        fold_allocs <= FOLD_ALLOCS_PER_RUN * runs,
+        "fold allocated {fold_allocs} times over {runs} runs — more than the \
+         small per-run constant the rate conversion can justify"
+    );
+}
+
+/// The fold and merge proofs can fail: a probe allocating one more time
+/// per fold than the bound allows, and once in the merge region, trips
+/// both.
+#[test]
+fn probe_allocation_trips_the_fold_and_merge_proofs() {
+    let (fold_allocs, merge_allocs, runs) = fold_and_merge_allocs(|| {
+        for _ in 0..=FOLD_ALLOCS_PER_RUN {
+            black_box(Box::new(0u64));
+        }
+    });
+    assert!(merge_allocs > 0, "counter missed the merge probe");
+    assert!(
+        fold_allocs > FOLD_ALLOCS_PER_RUN * runs,
+        "counter missed the fold probes ({fold_allocs} over {runs} runs)"
+    );
+}
+
+/// Allocations a fold may make per run (the rate conversion's scratch).
+const FOLD_ALLOCS_PER_RUN: u64 = 4;
+
+/// Folds a small campaign's runs into two shard accumulators and merges
+/// them, counting each phase; `probe` runs inside the counted region
+/// after every fold and once during the merge. Returns the fold count,
+/// the merge count and the number of runs, after checking the merged
+/// total against the materialized aggregate.
+fn fold_and_merge_allocs(probe: impl Fn()) -> (u64, u64, u64) {
     let runs = run_campaign_with_results(&campaign(500), |t| SimConfig::interruptible(3, t));
     let (a, b) = runs.split_at(runs.len() / 2);
 
-    COUNTING.store(true, Ordering::SeqCst);
-    let fold_before = allocs();
-    let mut left = CampaignAccumulator::new();
-    for (run, result) in a {
-        left.fold_summary(run, result);
-    }
-    let mut right = CampaignAccumulator::new();
-    for (run, result) in b {
-        right.fold_summary(run, result);
-    }
-    let fold_allocs = allocs() - fold_before;
-
-    let merge_before = allocs();
-    let mut total = left.clone();
-    total.merge(&right);
-    let merge_allocs = allocs() - merge_before;
-    COUNTING.store(false, Ordering::SeqCst);
-
-    assert_eq!(merge_allocs, 0, "accumulator merge allocated");
-    assert!(
-        fold_allocs <= 4 * runs.len() as u64,
-        "fold allocated {fold_allocs} times over {} runs — more than the \
-         small per-run constant the rate conversion can justify",
-        runs.len()
-    );
+    let (fold_allocs, (left, right)) = count_allocs(|| {
+        let mut left = CampaignAccumulator::new();
+        for (run, result) in a {
+            left.fold_summary(run, result);
+            probe();
+        }
+        let mut right = CampaignAccumulator::new();
+        for (run, result) in b {
+            right.fold_summary(run, result);
+            probe();
+        }
+        (left, right)
+    });
+    let (merge_allocs, total) = count_allocs(|| {
+        let mut total = left.clone();
+        total.merge(&right);
+        probe();
+        total
+    });
     assert_eq!(total, accumulate_materialized(&runs));
+    (fold_allocs, merge_allocs, runs.len() as u64)
 }
 
 /// End to end: a streaming sharded campaign allocates per *tree*
@@ -125,27 +120,8 @@ fn fold_is_constant_and_merge_is_allocation_free() {
 /// runs.
 #[test]
 fn streaming_campaign_allocates_per_tree_not_per_event() {
-    // One inline worker so the thread-local counter sees the whole run.
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build_global()
-        .unwrap();
-
-    let measure = |tasks: u64| {
-        let c = campaign(tasks);
-        // Warm-up pass: libstd and the generator lazily initialize some
-        // one-time state (thread RNG, etc.) the first time through.
-        let _ = run_campaign_streaming(&c, 4, |t| SimConfig::interruptible(3, t));
-        COUNTING.store(true, Ordering::SeqCst);
-        let before = allocs();
-        let acc = run_campaign_streaming(&c, 4, |t| SimConfig::interruptible(3, t));
-        let after = allocs();
-        COUNTING.store(false, Ordering::SeqCst);
-        (after - before, acc.run_stats.events)
-    };
-
-    let (allocs_short, events_short) = measure(500);
-    let (allocs_long, events_long) = measure(4_000);
+    let (allocs_short, events_short) = streaming_allocs(500, |_| {});
+    let (allocs_long, events_long) = streaming_allocs(4_000, |_| {});
 
     // Premise: the long campaign really does far more simulation work,
     // and the counter really is observing the inline worker.
@@ -173,4 +149,43 @@ fn streaming_campaign_allocates_per_tree_not_per_event() {
 
 fn c_trees() -> u64 {
     campaign(500).trees as u64
+}
+
+/// Allocations and events of one streaming campaign at `tasks` per tree,
+/// run inline on the measuring thread. `probe` runs inside the counted
+/// region once per simulation, with the run's task count.
+fn streaming_allocs(tasks: u64, probe: impl Fn(u64) + Sync) -> (u64, u128) {
+    // One inline worker so the thread-local counter sees the whole run.
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build_global()
+        .unwrap();
+    let c = campaign(tasks);
+    let config = |t| {
+        probe(t);
+        SimConfig::interruptible(3, t)
+    };
+    // Warm-up pass: libstd and the generator lazily initialize some
+    // one-time state (thread RNG, etc.) the first time through.
+    let _ = run_campaign_streaming(&c, 4, config);
+    let (allocs, acc) = count_allocs(|| run_campaign_streaming(&c, 4, config));
+    (allocs, acc.run_stats.events)
+}
+
+/// The per-tree proof can fail: a probe allocating once per task inside
+/// the counted region makes allocations scale with the run length, and
+/// the same bound the proof asserts catches it.
+#[test]
+fn probe_allocation_trips_the_per_tree_proof() {
+    let per_task = |tasks: u64| {
+        for _ in 0..tasks {
+            black_box(Box::new(0u64));
+        }
+    };
+    let (allocs_short, _) = streaming_allocs(500, per_task);
+    let (allocs_long, _) = streaming_allocs(4_000, per_task);
+    assert!(
+        allocs_long >= allocs_short * 2,
+        "counter missed per-task allocations: {allocs_short} vs {allocs_long}"
+    );
 }

@@ -33,4 +33,4 @@ pub use plot::Chart;
 pub use recovery::{chunk_rates, degraded_fraction, time_to_rate};
 pub use stats::{ascii_table, csv, median, percentile, Histogram};
 pub use timeline::{fold_timelines, trace_end_time, NodeTimeline};
-pub use windows::{normalized_curve, window_rates, WindowRate};
+pub use windows::{normalized_curve, window_rates, RateThreshold, WindowRate};

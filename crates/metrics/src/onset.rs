@@ -6,7 +6,7 @@
 //! > rate goes over the optimal steady-state rate for the second time
 //! > after window 300."
 
-use crate::windows::window_rates;
+use crate::windows::{windows_from, RateThreshold};
 use bc_rational::Rational;
 
 /// Parameters of the onset heuristic. Defaults are the paper's.
@@ -32,13 +32,19 @@ impl Default for OnsetConfig {
 ///
 /// The returned index is the Fig 4 x-coordinate ("number of tasks
 /// completed at the beginning of the window").
+///
+/// Only the windows past `cfg.window_threshold` are computed, one at a
+/// time, and each is tested with a [`RateThreshold`] built once per call:
+/// the scan allocates nothing per window (see [`RateThreshold`] for why
+/// its float filter never changes a verdict).
 pub fn detect_onset(completions: &[u64], optimal: &Rational, cfg: OnsetConfig) -> Option<u64> {
+    let mut windows = windows_from(completions, cfg.window_threshold.saturating_add(1)).peekable();
+    // No window past the threshold: skip the rate's float conversion.
+    windows.peek()?;
+    let threshold = RateThreshold::new(optimal);
     let mut seen = 0u32;
-    for w in window_rates(completions) {
-        if w.window <= cfg.window_threshold {
-            continue;
-        }
-        if w.reaches(optimal) {
+    for w in windows {
+        if threshold.met_by(w.tasks, w.span) {
             seen += 1;
             if seen >= cfg.crossings {
                 return Some(w.window);
@@ -70,6 +76,9 @@ pub fn onset_cdf(onsets: &[Option<u64>], probes: &[u64]) -> Vec<(u64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::windows::window_rates;
+    use bc_rational::{BigInt, BigUint};
+    use proptest::prelude::*;
 
     /// Completion times at exactly `rate = 1/period` per step.
     fn steady(n: u64, period: u64) -> Vec<u64> {
@@ -148,5 +157,123 @@ mod tests {
     #[test]
     fn cdf_of_empty_input_is_zero() {
         assert_eq!(onset_cdf(&[], &[100])[0], (100, 0.0));
+    }
+
+    /// The scan as it stood before [`RateThreshold`]: materialize every
+    /// window, skip those at or below the threshold, and test the rest
+    /// with the exact product `tasks ≥ optimal · span`. The reference
+    /// [`detect_onset`] is proven against.
+    fn reference_onset(completions: &[u64], optimal: &Rational, cfg: OnsetConfig) -> Option<u64> {
+        let mut seen = 0u32;
+        for w in window_rates(completions) {
+            if w.window <= cfg.window_threshold {
+                continue;
+            }
+            let lhs = Rational::from_integer(w.tasks as i128);
+            let rhs = optimal.mul_ref(&Rational::from_integer(w.span as i128));
+            if w.span == 0 || lhs >= rhs {
+                seen += 1;
+                if seen >= cfg.crossings {
+                    return Some(w.window);
+                }
+            }
+        }
+        None
+    }
+
+    /// Completion times from per-task gaps (non-decreasing, zero gaps
+    /// allowed).
+    fn times_from_gaps(gaps: &[u64]) -> Vec<u64> {
+        gaps.iter()
+            .scan(0u64, |t, g| {
+                *t += g;
+                Some(*t)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        #[test]
+        fn lazy_scan_matches_reference_scan(
+            gaps in prop::collection::vec(0u64..9, 0..600),
+            pick in any::<u64>(),
+            nudge in 0u64..6,
+            q in 1u64..1 << 16,
+            threshold_kind in 0u64..6,
+            threshold_raw in any::<u64>(),
+            crossings in 0u32..4,
+        ) {
+            let times = times_from_gaps(&gaps);
+            let windows = window_rates(&times);
+            prop_assume!(!windows.is_empty());
+            // Anchor the rate on one window's own rate so the scan meets
+            // exact ties and near-ties, not only clear verdicts.
+            let w = windows[(pick % windows.len() as u64) as usize];
+            let (t, s) = (w.tasks as i128, w.span.max(1) as i128);
+            let optimal = match nudge {
+                0 => Rational::new(t, s),
+                1 => Rational::new(t + 1, s),
+                2 => Rational::new(t, s + 1),
+                3 => Rational::new(2 * t - 1, 2 * s),
+                // Big tier: within 2^-80 of the anchor, either side.
+                _ => Rational::new(t, s).add_ref(&Rational::from_parts(
+                    BigInt::from_i128(if nudge == 4 { 1 } else { -1 }),
+                    BigUint::from_u128(q as u128).shl(80),
+                )),
+            };
+            let half = windows.len() as u64;
+            let window_threshold = match threshold_kind {
+                0 => 0,
+                1 => u64::MAX,
+                2 => half,
+                3 => half.saturating_sub(1),
+                _ => threshold_raw % (half + 1),
+            };
+            let cfg = OnsetConfig { window_threshold, crossings };
+            prop_assert_eq!(
+                detect_onset(&times, &optimal, cfg),
+                reference_onset(&times, &optimal, cfg),
+                "rate {} cfg {:?}", optimal, cfg
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_scan_matches_reference_scan_on_paper_configs() {
+        // Runs long enough to pass window 300: one whose every window ties
+        // 1/3 exactly, one jittered around it. The big-tier rates sit a
+        // hair above and below 1/3, so the tied run reaches one and
+        // never the other (a full scan of every window).
+        let tied: Vec<u64> = (1..=2000u64).map(|k| 3 * k).collect();
+        let jittered: Vec<u64> = (1..=2000u64).map(|k| 3 * k + (k * 7919) % 5).collect();
+        let third = Rational::new(1, 3);
+        let eps = Rational::from_parts(BigInt::one(), BigUint::one().shl(90));
+        let mut outcomes = Vec::new();
+        for times in [&tied, &jittered] {
+            for rate in [third.clone(), third.add_ref(&eps), third.sub_ref(&eps)] {
+                for cfg in [
+                    OnsetConfig::default(),
+                    OnsetConfig {
+                        window_threshold: 0,
+                        crossings: 1,
+                    },
+                    OnsetConfig {
+                        window_threshold: u64::MAX,
+                        crossings: 2,
+                    },
+                ] {
+                    let onset = detect_onset(times, &rate, cfg);
+                    assert_eq!(onset, reference_onset(times, &rate, cfg), "{rate} {cfg:?}");
+                    outcomes.push(onset);
+                }
+            }
+        }
+        assert!(outcomes.contains(&Some(302)) && outcomes.contains(&None));
+        assert_eq!(
+            detect_onset(&tied, &third.add_ref(&eps), OnsetConfig::default()),
+            None
+        );
     }
 }

@@ -5,9 +5,10 @@
 //! protocol detects and repairs the damage, and (ideally) a recovered
 //! tail at the post-fault platform's optimal rate. These helpers measure
 //! that structure from the completion times alone, with the same exact
-//! rational comparisons the onset heuristic uses — no float tolerances.
+//! [`RateThreshold`] comparison the onset heuristic uses — no float
+//! tolerances.
 
-use crate::windows::WindowRate;
+use crate::windows::{RateThreshold, WindowRate};
 use bc_rational::Rational;
 
 /// Fixed-size chunk throughput: chunk `k` covers completions
@@ -43,7 +44,11 @@ pub fn degraded_fraction(completions: &[u64], chunk: usize, target: &Rational) -
     if chunks.is_empty() {
         return 0.0;
     }
-    let degraded = chunks.iter().filter(|c| !c.reaches(target)).count();
+    let threshold = RateThreshold::new(target);
+    let degraded = chunks
+        .iter()
+        .filter(|c| !threshold.met_by(c.tasks, c.span))
+        .count();
     degraded as f64 / chunks.len() as f64
 }
 
@@ -61,6 +66,7 @@ pub fn time_to_rate(
 ) -> Option<u64> {
     assert!(window >= 1, "window must be >= 1");
     let idx0 = completions.partition_point(|&t| t <= after);
+    let threshold = RateThreshold::new(target);
     for k in idx0..completions.len() {
         let Some(s) = (k + 1).checked_sub(window) else {
             continue;
@@ -69,12 +75,7 @@ pub fn time_to_rate(
             continue;
         }
         let base = if s == idx0 { after } else { completions[s - 1] };
-        let w = WindowRate {
-            window: k as u64,
-            tasks: window as u64,
-            span: completions[k] - base,
-        };
-        if w.reaches(target) {
+        if threshold.met_by(window as u64, completions[k] - base) {
             return Some(completions[k] - after);
         }
     }
