@@ -135,12 +135,22 @@ fn req<T: serde::Deserialize>(v: &Value, key: &str) -> Result<T, String> {
     opt(v, key)?.ok_or_else(|| format!("missing field `{key}`"))
 }
 
+/// A required string field, borrowed from the parsed request instead of
+/// cloned (a `restore` payload can be megabytes of hex).
+fn req_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
+    match v.get(key) {
+        Some(Value::Str(s)) => Ok(s),
+        // Missing or not a string: the same message `req` gives.
+        _ => Err(req::<String>(v, key).expect_err("a string field was matched above")),
+    }
+}
+
 fn sim_name(v: &Value) -> Result<String, String> {
-    let name: String = req(v, "sim")?;
+    let name = req_str(v, "sim")?;
     if name.is_empty() || name.len() > MAX_SIM_NAME_LEN {
         return Err(format!("`sim` must be 1..={MAX_SIM_NAME_LEN} characters"));
     }
-    Ok(name)
+    Ok(name.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -151,8 +161,7 @@ fn sim_name(v: &Value) -> Result<String, String> {
 /// `{"ev":"error"}` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-    let cmd: String = req(&v, "cmd")?;
-    match cmd.as_str() {
+    match req_str(&v, "cmd")? {
         "open" => Ok(Request::Open {
             sim: sim_name(&v)?,
             spec: Box::new(parse_open(&v)?),
@@ -172,7 +181,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "snapshot" => Ok(Request::Snapshot { sim: sim_name(&v)? }),
         "restore" => Ok(Request::Restore {
             sim: sim_name(&v)?,
-            bytes: from_hex(&req::<String>(&v, "bytes")?)?,
+            bytes: from_hex(req_str(&v, "bytes")?)?,
         }),
         "metrics" => Ok(Request::Metrics { sim: sim_name(&v)? }),
         "status" => Ok(Request::Status),
@@ -303,8 +312,7 @@ fn parse_faults(v: &Value, seed: Option<u64>) -> Result<FaultPlan, String> {
     };
     let mut faults = Vec::with_capacity(items.len());
     for (i, f) in items.iter().enumerate() {
-        let kind: String = req(f, "kind")?;
-        let kind = match kind.as_str() {
+        let kind = match req_str(f, "kind")? {
             "outage" => FaultKind::LinkOutage {
                 duration: req(f, "duration")?,
             },
@@ -340,23 +348,36 @@ fn parse_faults(v: &Value, seed: Option<u64>) -> Result<FaultPlan, String> {
 // Hex (snapshot bytes on the wire)
 // ---------------------------------------------------------------------
 
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 /// Lowercase hex encoding of snapshot bytes.
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    let mut out = Vec::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(HEX_DIGITS[usize::from(b >> 4)]);
+        out.push(HEX_DIGITS[usize::from(b & 0xf)]);
     }
-    out
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
-/// Inverse of [`to_hex`].
+/// Inverse of [`to_hex`] (either case). Decodes the bytes of `s` in
+/// pairs, so any text — multi-byte characters included — yields a value
+/// or an error naming the byte offset of the first bad pair.
 pub fn from_hex(s: &str) -> Result<Vec<u8>, String> {
+    fn nibble(b: u8) -> Option<u8> {
+        char::from(b).to_digit(16).map(|d| d as u8)
+    }
     if !s.len().is_multiple_of(2) {
         return Err("hex string has odd length".into());
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| format!("bad hex at byte {i}")))
+    s.as_bytes()
+        .chunks_exact(2)
+        .enumerate()
+        .map(|(k, pair)| match (nibble(pair[0]), nibble(pair[1])) {
+            (Some(hi), Some(lo)) => Ok(hi << 4 | lo),
+            _ => Err(format!("bad hex at byte {}", 2 * k)),
+        })
         .collect()
 }
 
@@ -441,5 +462,60 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&bytes)).unwrap(), bytes);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+    }
+
+    #[test]
+    fn hex_rejects_non_ascii_and_signs() {
+        // `é` is two bytes, so the length is even but the first pair
+        // ends inside a multi-byte character.
+        assert_eq!(from_hex("aéb").unwrap_err(), "bad hex at byte 0");
+        assert_eq!(from_hex("00é").unwrap_err(), "bad hex at byte 2");
+        assert_eq!(from_hex("0\u{1F980}0").unwrap_err(), "bad hex at byte 0");
+        let line = r#"{"cmd":"restore","sim":"a","bytes":"aéb"}"#;
+        assert!(parse_request(line).unwrap_err().contains("bad hex"));
+        // `from_str_radix` took a leading `+`; a hex pair does not.
+        assert_eq!(from_hex("+f").unwrap_err(), "bad hex at byte 0");
+        assert_eq!(from_hex("AbCd").unwrap(), vec![0xab, 0xcd]);
+    }
+
+    /// The encoder before the nibble table: one `format!` per byte.
+    fn to_hex_per_byte(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The decoder before byte-wise pairs: `from_str_radix` on `&str`
+    /// slices (which panics off a char boundary, so callers stay ASCII).
+    fn from_hex_per_pair(s: &str) -> Result<Vec<u8>, String> {
+        if !s.len().is_multiple_of(2) {
+            return Err("hex string has odd length".into());
+        }
+        (0..s.len())
+            .step_by(2)
+            .map(|i| {
+                u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| format!("bad hex at byte {i}"))
+            })
+            .collect()
+    }
+
+    /// Hex-like ASCII text: mostly digits of either case, sometimes a
+    /// letter past `f`, punctuation, or a dropped character. `+` is left
+    /// out, since `from_str_radix` accepted it as a sign (see above).
+    const HEXISH: &[u8] = b"0123456789abcdefABCDEF0123456789abcdefgGzZ -x";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn hex_codec_matches_per_byte_reference(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..300),
+            picks in proptest::collection::vec(0..HEXISH.len(), 0..64),
+        ) {
+            let hex = to_hex(&bytes);
+            proptest::prop_assert_eq!(&hex, &to_hex_per_byte(&bytes));
+            proptest::prop_assert_eq!(from_hex(&hex), from_hex_per_pair(&hex));
+            proptest::prop_assert_eq!(from_hex(&hex), Ok(bytes));
+            let text: String = picks.iter().map(|&i| char::from(HEXISH[i])).collect();
+            proptest::prop_assert_eq!(from_hex(&text), from_hex_per_pair(&text));
+        }
     }
 }
