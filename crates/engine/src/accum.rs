@@ -26,6 +26,8 @@
 //! time from the exact counters, never stored.
 
 use crate::result::RunResult;
+use bc_simcore::wire::Le;
+use bc_simcore::wire_struct;
 
 /// Exact, mergeable aggregate of many [`RunResult`]s.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,6 +92,34 @@ impl Default for RunStatsAccumulator {
             retries: 0,
             crashes: 0,
         }
+    }
+}
+
+wire_struct! {
+    /// Byte form of a [`RunStatsAccumulator`], used by the durable
+    /// campaign checkpoints: every field fixed-width little-endian, in
+    /// declaration order. Integrity is the container's job
+    /// ([`crate::durability`]), so the form carries no checksum of its
+    /// own.
+    pub RunStatsCodec for RunStatsAccumulator {
+        runs: Le,
+        tasks: Le,
+        events: Le,
+        end_time_sum: Le,
+        end_time_min: Le,
+        end_time_max: Le,
+        preemptions: Le,
+        transfers_started: Le,
+        requests_sent: Le,
+        max_buffers_sum: Le,
+        max_buffers_max: Le,
+        busy_compute_sum: Le,
+        busy_link_sum: Le,
+        faults_injected: Le,
+        tasks_lost: Le,
+        tasks_reissued: Le,
+        retries: Le,
+        crashes: Le,
     }
 }
 
@@ -158,72 +188,6 @@ impl RunStatsAccumulator {
         self.crashes += other.crashes;
     }
 
-    /// Appends the accumulator's canonical fixed-width little-endian
-    /// byte form (declaration order) to `out`. Used by the durable
-    /// campaign checkpoints; integrity is the container's job
-    /// ([`crate::durability`]), so the form carries no checksum of its
-    /// own.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.runs.to_le_bytes());
-        out.extend_from_slice(&self.tasks.to_le_bytes());
-        out.extend_from_slice(&self.events.to_le_bytes());
-        out.extend_from_slice(&self.end_time_sum.to_le_bytes());
-        out.extend_from_slice(&self.end_time_min.to_le_bytes());
-        out.extend_from_slice(&self.end_time_max.to_le_bytes());
-        out.extend_from_slice(&self.preemptions.to_le_bytes());
-        out.extend_from_slice(&self.transfers_started.to_le_bytes());
-        out.extend_from_slice(&self.requests_sent.to_le_bytes());
-        out.extend_from_slice(&self.max_buffers_sum.to_le_bytes());
-        out.extend_from_slice(&self.max_buffers_max.to_le_bytes());
-        out.extend_from_slice(&self.busy_compute_sum.to_le_bytes());
-        out.extend_from_slice(&self.busy_link_sum.to_le_bytes());
-        out.extend_from_slice(&self.faults_injected.to_le_bytes());
-        out.extend_from_slice(&self.tasks_lost.to_le_bytes());
-        out.extend_from_slice(&self.tasks_reissued.to_le_bytes());
-        out.extend_from_slice(&self.retries.to_le_bytes());
-        out.extend_from_slice(&self.crashes.to_le_bytes());
-    }
-
-    /// Decodes one accumulator from the front of `input`, advancing it
-    /// past the consumed bytes. `None` on truncation.
-    pub fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        fn u64le(input: &mut &[u8]) -> Option<u64> {
-            let (head, rest) = input.split_at_checked(8)?;
-            *input = rest;
-            Some(u64::from_le_bytes(head.try_into().unwrap()))
-        }
-        fn u128le(input: &mut &[u8]) -> Option<u128> {
-            let (head, rest) = input.split_at_checked(16)?;
-            *input = rest;
-            Some(u128::from_le_bytes(head.try_into().unwrap()))
-        }
-        fn u32le(input: &mut &[u8]) -> Option<u32> {
-            let (head, rest) = input.split_at_checked(4)?;
-            *input = rest;
-            Some(u32::from_le_bytes(head.try_into().unwrap()))
-        }
-        Some(RunStatsAccumulator {
-            runs: u64le(input)?,
-            tasks: u128le(input)?,
-            events: u128le(input)?,
-            end_time_sum: u128le(input)?,
-            end_time_min: u64le(input)?,
-            end_time_max: u64le(input)?,
-            preemptions: u128le(input)?,
-            transfers_started: u128le(input)?,
-            requests_sent: u128le(input)?,
-            max_buffers_sum: u128le(input)?,
-            max_buffers_max: u32le(input)?,
-            busy_compute_sum: u128le(input)?,
-            busy_link_sum: u128le(input)?,
-            faults_injected: u128le(input)?,
-            tasks_lost: u128le(input)?,
-            tasks_reissued: u128le(input)?,
-            retries: u128le(input)?,
-            crashes: u128le(input)?,
-        })
-    }
-
     /// Mean end time across runs (0 when empty).
     pub fn mean_end_time(&self) -> f64 {
         if self.runs == 0 {
@@ -253,6 +217,7 @@ impl RunStatsAccumulator {
 mod tests {
     use super::*;
     use crate::result::FaultStats;
+    use bc_simcore::wire::{Codec, Reader};
 
     fn run(end: u64, events: u64, tasks: usize) -> RunResult {
         RunResult {
@@ -317,14 +282,12 @@ mod tests {
             acc.fold(&run(i * 7, i * 31, i as usize));
         }
         let mut bytes = Vec::new();
-        acc.encode_into(&mut bytes);
-        let mut input = bytes.as_slice();
-        let decoded = RunStatsAccumulator::decode_from(&mut input).unwrap();
-        assert_eq!(decoded, acc);
-        assert!(input.is_empty());
+        RunStatsCodec.put(&mut bytes, &acc);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(RunStatsCodec.get(&mut r), Ok(acc));
+        assert_eq!(r.remaining(), 0);
         for cut in 0..bytes.len() {
-            let mut short = &bytes[..cut];
-            assert!(RunStatsAccumulator::decode_from(&mut short).is_none());
+            assert!(RunStatsCodec.get(&mut Reader::new(&bytes[..cut])).is_err());
         }
     }
 

@@ -22,6 +22,7 @@
 //! payload *means* is the caller's business (BCSS snapshot bytes, campaign
 //! accumulator state, a session journal, ...), named by the kind tag.
 
+use bc_simcore::wire::{Byte, Codec, Le, Reader};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -159,43 +160,38 @@ pub fn encode_container(kind: CheckpointKind, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(kind.tag());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    Le.put(&mut out, &(payload.len() as u64));
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    Le.put(&mut out, &fnv1a64(payload));
     out
 }
 
 /// Unframe a `BCCK` container, verifying magic, version, kind, length, and
 /// checksum. Total: every byte string maps to `Ok` or a typed error.
 pub fn decode_container(kind: CheckpointKind, bytes: &[u8]) -> Result<Vec<u8>, CheckpointError> {
-    if bytes.len() < HEADER_LEN {
-        // Too short to even hold the magic + header: classify precisely.
-        if bytes.len() >= 4 && &bytes[..4] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        return Err(CheckpointError::Truncated);
-    }
-    if &bytes[..4] != MAGIC {
+    let truncated = |_| CheckpointError::Truncated;
+    // A foreign magic is reported as such even when the file is too short
+    // to hold a whole header.
+    if bytes.get(..MAGIC.len()).is_some_and(|m| m != MAGIC) {
         return Err(CheckpointError::BadMagic);
     }
-    if bytes[4] != VERSION {
-        return Err(CheckpointError::UnsupportedVersion(bytes[4]));
+    let mut r = Reader::new(bytes);
+    let (version, tag, len): (u8, u8, u64) = r
+        .bytes(MAGIC.len())
+        .and_then(|_| r.get(&(Byte, Byte, Le)))
+        .map_err(truncated)?;
+    if version != VERSION {
+        return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let found = CheckpointKind::from_tag(bytes[5]).ok_or(CheckpointError::UnknownKind(bytes[5]))?;
-    let len = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
+    let found = CheckpointKind::from_tag(tag).ok_or(CheckpointError::UnknownKind(tag))?;
     // Guard the length against the actual byte count before any allocation:
     // a hostile 2^60 length must not OOM.
-    let avail = (bytes.len() - HEADER_LEN) as u64;
+    let avail = r.remaining() as u64;
     if len > avail || avail - len < TRAILER_LEN as u64 {
         return Err(CheckpointError::Truncated);
     }
-    let len = len as usize;
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
-    let stored = u64::from_le_bytes(
-        bytes[HEADER_LEN + len..HEADER_LEN + len + TRAILER_LEN]
-            .try_into()
-            .unwrap(),
-    );
+    let payload = r.bytes(len as usize).map_err(truncated)?;
+    let stored: u64 = r.get(&Le).map_err(truncated)?;
     if fnv1a64(payload) != stored {
         return Err(CheckpointError::ChecksumMismatch);
     }

@@ -23,7 +23,7 @@ pub mod result;
 pub mod sim;
 pub mod snapshot;
 
-pub use accum::RunStatsAccumulator;
+pub use accum::{RunStatsAccumulator, RunStatsCodec};
 pub use arrivals::{AdmissionPolicy, Arrival, ArrivalPlan, ArrivalProcess, TaskClass};
 pub use config::{
     ChangeKind, FaultEvent, FaultInjection, FaultKind, FaultPlan, PlannedChange, Protocol,

@@ -46,8 +46,13 @@ use bc_core::{
     ObserverKind, ObserverState,
 };
 use bc_platform::{NodeId, Tree};
+use bc_simcore::wire::{
+    opt, Bool, Byte, Checked, Codec, Le, Leb, Narrow, Opt, Reader, Seq, Utf8, Via, WireError,
+    ZeroNone,
+};
 use bc_simcore::{
-    AgendaSnapshot, EventHandle, NullSink, PackedEvent, SlotSnapshot, Time, TraceSink, VecSink,
+    wire_enum, wire_struct, AgendaSnapshot, EventHandle, NullSink, PackedEvent, SlotSnapshot, Time,
+    TraceSink, VecSink,
 };
 
 /// Near-tier calendar size of the kernel agenda — bucket indices in a
@@ -558,1200 +563,519 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<WireError> for SnapshotError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => SnapshotError::Truncated,
+            WireError::Corrupt(what) => SnapshotError::Corrupt(what),
+        }
+    }
+}
+
 const MAGIC: &[u8; 4] = b"BCSS";
 // v2: open-world arrivals (config plan, `Arrival` event tag, cursor layer).
 const VERSION: u8 = 2;
 
-fn put_u8(b: &mut Vec<u8>, v: u8) {
-    b.push(v);
-}
+// Each type's layout is declared once below (`bc_simcore::wire`); the
+// declarations generate both the encoder and the decoder. Semantic checks
+// follow as explicit code: `Checked` codecs, the tree codec, and
+// `check_workspace`.
 
-fn put_bool(b: &mut Vec<u8>, v: bool) {
-    b.push(v as u8);
-}
-
-/// LEB128 varint (unsigned).
-fn put_v(b: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            b.push(byte);
-            return;
-        }
-        b.push(byte | 0x80);
+wire_enum! {
+    EventW for Event, "event tag out of range" {
+        0 => ComputeDone { node: Leb },
+        1 => ComputeChain { node: Leb, count: Leb },
+        2 => SendDone { node: Leb },
+        3 => TransferDone { node: Leb },
+        4 => Fault { index: Leb },
+        5 => OutageEnd { node: Leb },
+        6 => RequestTimeout { node: Leb },
+        7 => Reissue { count: Leb },
+        8 => Arrival,
     }
 }
 
-fn put_u128(b: &mut Vec<u8>, v: u128) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_opt_v(b: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(b, 0),
-        Some(v) => {
-            put_u8(b, 1);
-            put_v(b, v);
-        }
+wire_enum! {
+    GrowthGateW for GrowthGate, "growth gate out of range" {
+        0 => EveryEvent,
+        1 => OncePerArrival,
+        2 => AfterPoolFilled,
     }
 }
 
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        let v = *self.buf.get(self.pos).ok_or(SnapshotError::Truncated)?;
-        self.pos += 1;
-        Ok(v)
-    }
-
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt("bool out of range")),
-        }
-    }
-
-    fn v(&mut self) -> Result<u64, SnapshotError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(SnapshotError::Corrupt("varint overflow"));
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn v32(&mut self) -> Result<u32, SnapshotError> {
-        u32::try_from(self.v()?).map_err(|_| SnapshotError::Corrupt("u32 out of range"))
-    }
-
-    fn vus(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.v()?).map_err(|_| SnapshotError::Corrupt("usize out of range"))
-    }
-
-    fn u128(&mut self) -> Result<u128, SnapshotError> {
-        let end = self.pos.checked_add(16).ok_or(SnapshotError::Truncated)?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Truncated)?;
-        self.pos = end;
-        Ok(u128::from_le_bytes(bytes.try_into().expect("16 bytes")))
-    }
-
-    fn opt_v(&mut self) -> Result<Option<u64>, SnapshotError> {
-        Ok(match self.u8()? {
-            0 => None,
-            1 => Some(self.v()?),
-            _ => return Err(SnapshotError::Corrupt("option tag out of range")),
-        })
-    }
-
-    /// Guard for length prefixes of multi-byte records: a hostile length
-    /// can never exceed the bytes actually remaining.
-    fn len_capped(&mut self, min_record: usize) -> Result<usize, SnapshotError> {
-        let len = self.vus()?;
-        let left = self.buf.len() - self.pos;
-        if len > left / min_record.max(1) {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(len)
-    }
-
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        let n = self.len_capped(1)?;
-        let end = self.pos + n; // len_capped bounds n by the remainder
-        let s = std::str::from_utf8(&self.buf[self.pos..end])
-            .map_err(|_| SnapshotError::Corrupt("string not UTF-8"))?;
-        self.pos = end;
-        Ok(s.to_owned())
-    }
-}
-
-fn put_handle(b: &mut Vec<u8>, h: EventHandle) {
-    let (slot, generation) = h.raw_parts();
-    put_v(b, slot as u64);
-    put_v(b, generation as u64);
-}
-
-fn get_handle(r: &mut Rd) -> Result<EventHandle, SnapshotError> {
-    let slot = r.v32()?;
-    let generation = r.v32()?;
-    Ok(EventHandle::from_raw_parts(slot, generation))
-}
-
-fn put_event(b: &mut Vec<u8>, e: &Event) {
-    match *e {
-        Event::ComputeDone { node } => {
-            put_u8(b, 0);
-            put_v(b, node as u64);
-        }
-        Event::ComputeChain { node, count } => {
-            put_u8(b, 1);
-            put_v(b, node as u64);
-            put_v(b, count);
-        }
-        Event::SendDone { node } => {
-            put_u8(b, 2);
-            put_v(b, node as u64);
-        }
-        Event::TransferDone { node } => {
-            put_u8(b, 3);
-            put_v(b, node as u64);
-        }
-        Event::Fault { index } => {
-            put_u8(b, 4);
-            put_v(b, index as u64);
-        }
-        Event::OutageEnd { node } => {
-            put_u8(b, 5);
-            put_v(b, node as u64);
-        }
-        Event::RequestTimeout { node } => {
-            put_u8(b, 6);
-            put_v(b, node as u64);
-        }
-        Event::Reissue { count } => {
-            put_u8(b, 7);
-            put_v(b, count);
-        }
-        Event::Arrival => put_u8(b, 8),
-    }
-}
-
-fn get_event(r: &mut Rd) -> Result<Event, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Event::ComputeDone { node: r.vus()? },
-        1 => Event::ComputeChain {
-            node: r.vus()?,
-            count: r.v()?,
+wire_enum! {
+    BufferPolicyW for BufferPolicy, "buffer policy tag out of range" {
+        0 => Fixed(k: Leb),
+        1 => Growable {
+            initial: Leb,
+            cap: opt(Narrow("cap out of range")),
+            gate: GrowthGateW,
+            decay_after: opt(Leb),
         },
-        2 => Event::SendDone { node: r.vus()? },
-        3 => Event::TransferDone { node: r.vus()? },
-        4 => Event::Fault { index: r.vus()? },
-        5 => Event::OutageEnd { node: r.vus()? },
-        6 => Event::RequestTimeout { node: r.vus()? },
-        7 => Event::Reissue { count: r.v()? },
-        8 => Event::Arrival,
-        _ => return Err(SnapshotError::Corrupt("event tag out of range")),
-    })
-}
-
-fn put_buffer_policy(b: &mut Vec<u8>, p: &BufferPolicy) {
-    match *p {
-        BufferPolicy::Fixed(k) => {
-            put_u8(b, 0);
-            put_v(b, k as u64);
-        }
-        BufferPolicy::Growable {
-            initial,
-            cap,
-            gate,
-            decay_after,
-        } => {
-            put_u8(b, 1);
-            put_v(b, initial as u64);
-            put_opt_v(b, cap.map(u64::from));
-            put_u8(
-                b,
-                match gate {
-                    GrowthGate::EveryEvent => 0,
-                    GrowthGate::OncePerArrival => 1,
-                    GrowthGate::AfterPoolFilled => 2,
-                },
-            );
-            put_opt_v(b, decay_after);
-        }
     }
 }
 
-fn get_buffer_policy(r: &mut Rd) -> Result<BufferPolicy, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => BufferPolicy::Fixed(r.v32()?),
-        1 => {
-            let initial = r.v32()?;
-            let cap = match r.opt_v()? {
-                None => None,
-                Some(v) => {
-                    Some(u32::try_from(v).map_err(|_| SnapshotError::Corrupt("cap out of range"))?)
-                }
-            };
-            let gate = match r.u8()? {
-                0 => GrowthGate::EveryEvent,
-                1 => GrowthGate::OncePerArrival,
-                2 => GrowthGate::AfterPoolFilled,
-                _ => return Err(SnapshotError::Corrupt("growth gate out of range")),
-            };
-            let decay_after = r.opt_v()?;
-            BufferPolicy::Growable {
-                initial,
-                cap,
-                gate,
-                decay_after,
+wire_enum! {
+    ObserverKindW for ObserverKind, "observer tag out of range" {
+        0 => Oracle,
+        1 => LastSample { initial: Leb },
+        2 => Ema { initial: Leb, num: Leb, den: Leb },
+    }
+}
+
+const OBSERVER_KIND: Checked<ObserverKindW, ObserverKind> = Checked(ObserverKindW, ema_weight);
+
+fn ema_weight(kind: &ObserverKind) -> Result<(), &'static str> {
+    match *kind {
+        ObserverKind::Ema { num, den, .. } if num == 0 || den == 0 || num > den => {
+            Err("EMA weight out of range")
+        }
+        _ => Ok(()),
+    }
+}
+
+wire_enum! {
+    ChildSelectorW for ChildSelector, "selector tag out of range" {
+        0 => BandwidthCentric,
+        1 => ComputeCentric,
+        2 => RoundRobin { cursor: Leb },
+    }
+}
+
+wire_enum! {
+    ProtocolW for Protocol, "protocol tag out of range" {
+        0 => NonInterruptible,
+        1 => Interruptible,
+    }
+}
+
+wire_enum! {
+    SelectorKindW for SelectorKind, "selector tag out of range" {
+        0 => BandwidthCentric,
+        1 => ComputeCentric,
+        2 => RoundRobin,
+    }
+}
+
+wire_enum! {
+    ChangeKindW for ChangeKind, "change tag out of range" {
+        0 => CommTime(c: Leb),
+        1 => ComputeTime(w: Leb),
+        2 => Join { comm: Leb, compute: Leb },
+        3 => Leave,
+    }
+}
+
+// Tag 0 is "no injection" (`ZeroNone`).
+wire_enum! {
+    FaultInjectionW for FaultInjection, "fault-injection tag out of range" {
+        1 => FbOffByOne,
+        2 => LeakTask { every: Leb },
+        3 => SwallowReissue,
+        4 => LeakQueuedTask { every: Leb },
+    }
+}
+
+wire_enum! {
+    FaultKindW for FaultKind, "fault kind out of range" {
+        0 => RequestLoss { batches: Leb },
+        1 => TransferAbort,
+        2 => LinkOutage { duration: Leb },
+        3 => Crash,
+        4 => DuplicateDelivery { copies: Leb },
+    }
+}
+
+wire_enum! {
+    ArrivalProcessW for ArrivalProcess, "arrival process tag out of range" {
+        0 => Poisson { mean_gap: Leb, count: Leb },
+        1 => Burst { phase: Leb, period: Leb, size: Leb, bursts: Leb },
+        2 => Trace { times: Seq(Leb, Leb) },
+    }
+}
+
+wire_enum! {
+    AdmissionPolicyW for AdmissionPolicy, "admission policy tag out of range" {
+        0 => Drop,
+        1 => Defer,
+    }
+}
+
+fn node_index(n: &NodeId) -> u32 {
+    n.0
+}
+
+const NODE: Via<Leb, NodeId, u32> = Via(Leb, node_index, NodeId);
+
+fn handle_parts(h: &EventHandle) -> (u32, u32) {
+    h.raw_parts()
+}
+
+fn handle_from((slot, generation): (u32, u32)) -> EventHandle {
+    EventHandle::from_raw_parts(slot, generation)
+}
+
+const HANDLE: Via<(Leb, Leb), EventHandle, (u32, u32)> = Via((Leb, Leb), handle_parts, handle_from);
+
+fn packed_raw(e: &PackedEvent) -> u128 {
+    e.raw()
+}
+
+/// Agenda entries: the packed `u128` key, 16 bytes little-endian.
+const PACKED: Via<Le, PackedEvent, u128> = Via(Le, packed_raw, PackedEvent::from_raw);
+
+fn parent_code(p: &Option<usize>) -> u64 {
+    p.map_or(0, |p| p as u64 + 1)
+}
+
+fn parent_from(code: u64) -> Option<usize> {
+    code.checked_sub(1).map(|p| p as usize)
+}
+
+/// `parent_of` entries: 0 for the root, otherwise parent index + 1.
+const PARENT: Via<Leb, Option<usize>, u64> = Via(Leb, parent_code, parent_from);
+
+wire_struct! {
+    RecoveryW for RecoveryTuning {
+        request_timeout: Leb,
+        backoff_cap: Leb,
+        max_retries: Leb,
+        missed_ack_threshold: Byte,
+        reissue_delay: Leb,
+    }
+}
+
+wire_struct! {
+    FaultEventW for FaultEvent { at: Leb, node: NODE, kind: FaultKindW }
+}
+
+wire_struct! {
+    FaultPlanW for FaultPlan { seed: Leb, faults: Seq(Leb, FaultEventW), recovery: RecoveryW }
+}
+
+wire_struct! {
+    ChangeW for PlannedChange { after_tasks: Leb, node: NODE, kind: ChangeKindW }
+}
+
+wire_struct! {
+    TaskClassW for TaskClass { name: Utf8(Leb), work_units: Leb, process: ArrivalProcessW }
+}
+
+wire_struct! {
+    ArrivalPlanW for ArrivalPlan {
+        seed: Leb,
+        classes: Seq(Leb, TaskClassW),
+        queue_cap: Leb,
+        policy: AdmissionPolicyW,
+    }
+}
+
+wire_struct! {
+    ConfigW for SimConfig {
+        protocol: ProtocolW,
+        buffers: BufferPolicyW,
+        selector: SelectorKindW,
+        observer: OBSERVER_KIND,
+        self_first: Bool,
+        total_tasks: Leb,
+        checkpoints: Seq(Leb, Leb),
+        changes: Seq(Leb, ChangeW),
+        max_events: Leb,
+        checked: Bool,
+        elision: Bool,
+        fault: ZeroNone(FaultInjectionW),
+        fault_plan: Opt(FaultPlanW, "fault-plan tag out of range"),
+        arrivals: Opt(ArrivalPlanW, "arrival-plan tag out of range"),
+    }
+}
+
+/// The platform tree: node count, the root's compute weight, then
+/// `(parent, comm, compute)` per non-root node in id order. Decoding
+/// checks that parents precede children and weights are nonzero (what
+/// `Tree::add_child` relies on), and rebuilds the child lists, which are
+/// in id order by construction.
+struct TreeW;
+
+const TREE_ROW: (Leb, Leb, Leb) = (Leb, Leb, Leb);
+
+impl Codec<Tree> for TreeW {
+    fn put(&self, out: &mut Vec<u8>, tree: &Tree) {
+        Leb.put(out, &tree.len());
+        Leb.put(out, &tree.root().compute_time);
+        for id in tree.ids().skip(1) {
+            let node = tree.node(id);
+            let parent = node.parent.expect("non-root has parent").index();
+            TREE_ROW.put(out, &(parent, node.comm_time, node.compute_time));
+        }
+    }
+
+    fn get(&self, r: &mut Reader<'_>) -> Result<Tree, WireError> {
+        let n = r.len(&Leb, 1)?;
+        if n == 0 {
+            return Err(WireError::Corrupt("empty tree"));
+        }
+        let root_w: u64 = r.get(&Leb)?;
+        if root_w == 0 {
+            return Err(WireError::Corrupt("zero compute weight"));
+        }
+        let mut tree = Tree::new(root_w);
+        for id in 1..n {
+            let (parent, comm, compute): (usize, u64, u64) = r.get(&TREE_ROW)?;
+            if parent >= id {
+                return Err(WireError::Corrupt("parent does not precede child"));
             }
-        }
-        _ => return Err(SnapshotError::Corrupt("buffer policy tag out of range")),
-    })
-}
-
-fn put_observer_kind(b: &mut Vec<u8>, k: &ObserverKind) {
-    match *k {
-        ObserverKind::Oracle => put_u8(b, 0),
-        ObserverKind::LastSample { initial } => {
-            put_u8(b, 1);
-            put_v(b, initial);
-        }
-        ObserverKind::Ema { initial, num, den } => {
-            put_u8(b, 2);
-            put_v(b, initial);
-            put_v(b, num as u64);
-            put_v(b, den as u64);
-        }
-    }
-}
-
-fn get_observer_kind(r: &mut Rd) -> Result<ObserverKind, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => ObserverKind::Oracle,
-        1 => ObserverKind::LastSample { initial: r.v()? },
-        2 => {
-            let initial = r.v()?;
-            let num = r.v32()?;
-            let den = r.v32()?;
-            if num == 0 || den == 0 || num > den {
-                return Err(SnapshotError::Corrupt("EMA weight out of range"));
+            if comm == 0 || compute == 0 {
+                return Err(WireError::Corrupt("zero edge/compute weight"));
             }
-            ObserverKind::Ema { initial, num, den }
+            tree.add_child(NodeId(parent as u32), comm, compute);
         }
-        _ => return Err(SnapshotError::Corrupt("observer tag out of range")),
-    })
-}
-
-fn put_fault_kind(b: &mut Vec<u8>, k: &FaultKind) {
-    match *k {
-        FaultKind::RequestLoss { batches } => {
-            put_u8(b, 0);
-            put_v(b, batches as u64);
-        }
-        FaultKind::TransferAbort => put_u8(b, 1),
-        FaultKind::LinkOutage { duration } => {
-            put_u8(b, 2);
-            put_v(b, duration);
-        }
-        FaultKind::Crash => put_u8(b, 3),
-        FaultKind::DuplicateDelivery { copies } => {
-            put_u8(b, 4);
-            put_v(b, copies as u64);
-        }
+        Ok(tree)
     }
 }
 
-fn get_fault_kind(r: &mut Rd) -> Result<FaultKind, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => FaultKind::RequestLoss { batches: r.v32()? },
-        1 => FaultKind::TransferAbort,
-        2 => FaultKind::LinkOutage { duration: r.v()? },
-        3 => FaultKind::Crash,
-        4 => FaultKind::DuplicateDelivery { copies: r.v32()? },
-        _ => return Err(SnapshotError::Corrupt("fault kind out of range")),
-    })
-}
+type Slot = SlotSnapshot<Event>;
+type Agenda = AgendaSnapshot<Event>;
 
-fn put_recovery(b: &mut Vec<u8>, t: &RecoveryTuning) {
-    put_v(b, t.request_timeout);
-    put_v(b, t.backoff_cap as u64);
-    put_v(b, t.max_retries as u64);
-    put_u8(b, t.missed_ack_threshold);
-    put_v(b, t.reissue_delay);
-}
-
-fn get_recovery(r: &mut Rd) -> Result<RecoveryTuning, SnapshotError> {
-    Ok(RecoveryTuning {
-        request_timeout: r.v()?,
-        backoff_cap: r.v32()?,
-        max_retries: r.v32()?,
-        missed_ack_threshold: r.u8()?,
-        reissue_delay: r.v()?,
-    })
-}
-
-fn put_tree(b: &mut Vec<u8>, tree: &Tree) {
-    put_v(b, tree.len() as u64);
-    put_v(b, tree.root().compute_time);
-    for id in tree.ids().skip(1) {
-        let node = tree.node(id);
-        put_v(b, node.parent.expect("non-root has parent").index() as u64);
-        put_v(b, node.comm_time);
-        put_v(b, node.compute_time);
+wire_struct! {
+    SlotW for Slot {
+        generation: Leb,
+        in_far: Bool,
+        payload: Opt(EventW, "slot payload tag out of range"),
     }
 }
 
-fn get_tree(r: &mut Rd) -> Result<Tree, SnapshotError> {
-    let n = r.len_capped(1)?;
-    if n == 0 {
-        return Err(SnapshotError::Corrupt("empty tree"));
+/// A near-tier bucket: index, drain head, entries (tombstones included).
+fn bucket_shape((index, head, entries): &(u32, u32, Vec<PackedEvent>)) -> Result<(), &'static str> {
+    if *index >= NEAR_BUCKETS {
+        return Err("bucket index out of range");
     }
-    let root_w = r.v()?;
-    if root_w == 0 {
-        return Err(SnapshotError::Corrupt("zero compute weight"));
+    if *head as usize > entries.len() {
+        return Err("bucket head past entries");
     }
-    let mut tree = Tree::new(root_w);
-    for id in 1..n {
-        let parent = r.vus()?;
-        let comm = r.v()?;
-        let compute = r.v()?;
-        if parent >= id {
-            return Err(SnapshotError::Corrupt("parent does not precede child"));
-        }
-        if comm == 0 || compute == 0 {
-            return Err(SnapshotError::Corrupt("zero edge/compute weight"));
-        }
-        // `add_child` appends ids in order, so reconstructing in id
-        // order reproduces the original child lists (which are in id
-        // order by construction).
-        tree.add_child(NodeId(parent as u32), comm, compute);
-    }
-    Ok(tree)
+    Ok(())
 }
 
-fn put_cfg(b: &mut Vec<u8>, cfg: &SimConfig) {
-    put_u8(
-        b,
-        match cfg.protocol {
-            Protocol::NonInterruptible => 0,
-            Protocol::Interruptible => 1,
-        },
-    );
-    put_buffer_policy(b, &cfg.buffers);
-    put_u8(
-        b,
-        match cfg.selector {
-            SelectorKind::BandwidthCentric => 0,
-            SelectorKind::ComputeCentric => 1,
-            SelectorKind::RoundRobin => 2,
-        },
-    );
-    put_observer_kind(b, &cfg.observer);
-    put_bool(b, cfg.self_first);
-    put_v(b, cfg.total_tasks);
-    put_v(b, cfg.checkpoints.len() as u64);
-    for &c in &cfg.checkpoints {
-        put_v(b, c);
-    }
-    put_v(b, cfg.changes.len() as u64);
-    for ch in &cfg.changes {
-        put_v(b, ch.after_tasks);
-        put_v(b, ch.node.index() as u64);
-        match ch.kind {
-            ChangeKind::CommTime(c) => {
-                put_u8(b, 0);
-                put_v(b, c);
-            }
-            ChangeKind::ComputeTime(w) => {
-                put_u8(b, 1);
-                put_v(b, w);
-            }
-            ChangeKind::Join { comm, compute } => {
-                put_u8(b, 2);
-                put_v(b, comm);
-                put_v(b, compute);
-            }
-            ChangeKind::Leave => put_u8(b, 3),
-        }
-    }
-    put_v(b, cfg.max_events);
-    put_bool(b, cfg.checked);
-    put_bool(b, cfg.elision);
-    match &cfg.fault {
-        None => put_u8(b, 0),
-        Some(FaultInjection::FbOffByOne) => put_u8(b, 1),
-        Some(FaultInjection::LeakTask { every }) => {
-            put_u8(b, 2);
-            put_v(b, *every);
-        }
-        Some(FaultInjection::SwallowReissue) => put_u8(b, 3),
-        Some(FaultInjection::LeakQueuedTask { every }) => {
-            put_u8(b, 4);
-            put_v(b, *every);
-        }
-    }
-    match &cfg.fault_plan {
-        None => put_u8(b, 0),
-        Some(plan) => {
-            put_u8(b, 1);
-            put_v(b, plan.seed);
-            put_v(b, plan.faults.len() as u64);
-            for f in &plan.faults {
-                put_v(b, f.at);
-                put_v(b, f.node.index() as u64);
-                put_fault_kind(b, &f.kind);
-            }
-            put_recovery(b, &plan.recovery);
-        }
-    }
-    match &cfg.arrivals {
-        None => put_u8(b, 0),
-        Some(plan) => {
-            put_u8(b, 1);
-            put_arrival_plan(b, plan);
-        }
+// Both agenda tiers verbatim: tombstones, bucket drain heads, slot
+// generations, and free-list order are all part of the state — they
+// decide future handle assignment and pop order.
+wire_struct! {
+    AgendaW for Agenda {
+        heap: Seq(Leb, PACKED),
+        buckets: Seq(Leb, Checked((Leb, Leb, Seq(Leb, PACKED)), bucket_shape)),
+        slots: Seq(Leb, SlotW),
+        free: Seq(Leb, Leb),
+        now: Leb,
+        seq: Leb,
+        live: Leb,
+        near_live: Leb,
+        near_entries: Leb,
+        far_dead: Leb,
     }
 }
 
-fn put_arrival_plan(b: &mut Vec<u8>, plan: &ArrivalPlan) {
-    put_v(b, plan.seed);
-    put_v(b, plan.classes.len() as u64);
-    for class in &plan.classes {
-        put_v(b, class.name.len() as u64);
-        b.extend_from_slice(class.name.as_bytes());
-        put_v(b, class.work_units);
-        match &class.process {
-            ArrivalProcess::Poisson { mean_gap, count } => {
-                put_u8(b, 0);
-                put_v(b, *mean_gap);
-                put_v(b, *count);
-            }
-            ArrivalProcess::Burst {
-                phase,
-                period,
-                size,
-                bursts,
-            } => {
-                put_u8(b, 1);
-                put_v(b, *phase);
-                put_v(b, *period);
-                put_v(b, *size);
-                put_v(b, *bursts);
-            }
-            ArrivalProcess::Trace { times } => {
-                put_u8(b, 2);
-                put_v(b, times.len() as u64);
-                for &t in times {
-                    put_v(b, t);
-                }
-            }
-        }
-    }
-    put_v(b, plan.queue_cap);
-    put_u8(
-        b,
-        match plan.policy {
-            AdmissionPolicy::Drop => 0,
-            AdmissionPolicy::Defer => 1,
-        },
-    );
-}
-
-fn get_arrival_plan(r: &mut Rd) -> Result<ArrivalPlan, SnapshotError> {
-    let seed = r.v()?;
-    let mut classes = Vec::with_capacity(r.len_capped(3)?);
-    for _ in 0..classes.capacity() {
-        let name = r.string()?;
-        let work_units = r.v()?;
-        let process = match r.u8()? {
-            0 => ArrivalProcess::Poisson {
-                mean_gap: r.v()?,
-                count: r.v()?,
-            },
-            1 => ArrivalProcess::Burst {
-                phase: r.v()?,
-                period: r.v()?,
-                size: r.v()?,
-                bursts: r.v()?,
-            },
-            2 => {
-                let mut times = Vec::with_capacity(r.len_capped(1)?);
-                for _ in 0..times.capacity() {
-                    times.push(r.v()?);
-                }
-                ArrivalProcess::Trace { times }
-            }
-            _ => return Err(SnapshotError::Corrupt("arrival process tag out of range")),
-        };
-        classes.push(TaskClass {
-            name,
-            work_units,
-            process,
-        });
-    }
-    let queue_cap = r.v()?;
-    let policy = match r.u8()? {
-        0 => AdmissionPolicy::Drop,
-        1 => AdmissionPolicy::Defer,
-        _ => return Err(SnapshotError::Corrupt("admission policy tag out of range")),
-    };
-    Ok(ArrivalPlan {
-        seed,
-        classes,
-        queue_cap,
-        policy,
-    })
-}
-
-fn put_arrival_cursor(b: &mut Vec<u8>, c: &ArrivalCursor) {
-    put_v(b, c.cursor);
-    put_v(b, c.deferred.len() as u64);
-    for &d in &c.deferred {
-        put_v(b, d as u64);
-    }
-    put_v(b, c.deferred_units);
-    put_v(b, c.submitted);
-    put_v(b, c.admitted);
-    put_v(b, c.rejected);
-    put_v(b, c.deferrals);
-    put_v(b, c.peak_deferred);
-    put_v(b, c.leak_tick);
-    put_v(b, c.admit_times.len() as u64);
-    for &t in &c.admit_times {
-        put_v(b, t);
-    }
-    put_v(b, c.dispatch_times.len() as u64);
-    for &t in &c.dispatch_times {
-        put_v(b, t);
-    }
-    // admit_class has admit_times's length by construction; no second
-    // prefix needed, but keep one so the record is self-describing.
-    put_v(b, c.admit_class.len() as u64);
-    for &cl in &c.admit_class {
-        put_v(b, cl as u64);
-    }
-    put_v(b, c.admitted_per_class.len() as u64);
-    for &n in &c.admitted_per_class {
-        put_v(b, n);
+wire_struct! {
+    LedgerW for LedgerState {
+        policy: BufferPolicyW,
+        capacity: Leb,
+        held: Leb,
+        covered: Leb,
+        max_capacity: Leb,
+        peak_held: Leb,
+        filled_since_growth: Bool,
+        grown_since_arrival: Bool,
     }
 }
 
-fn get_arrival_cursor(r: &mut Rd) -> Result<ArrivalCursor, SnapshotError> {
-    let cursor = r.v()?;
-    let mut deferred = Vec::with_capacity(r.len_capped(1)?);
-    for _ in 0..deferred.capacity() {
-        deferred.push(r.v32()?);
-    }
-    let deferred_units = r.v()?;
-    let submitted = r.v()?;
-    let admitted = r.v()?;
-    let rejected = r.v()?;
-    let deferrals = r.v()?;
-    let peak_deferred = r.v()?;
-    let leak_tick = r.v()?;
-    let mut admit_times = Vec::with_capacity(r.len_capped(1)?);
-    for _ in 0..admit_times.capacity() {
-        admit_times.push(r.v()?);
-    }
-    let mut dispatch_times = Vec::with_capacity(r.len_capped(1)?);
-    for _ in 0..dispatch_times.capacity() {
-        dispatch_times.push(r.v()?);
-    }
-    let mut admit_class = Vec::with_capacity(r.len_capped(1)?);
-    for _ in 0..admit_class.capacity() {
-        admit_class.push(r.v32()?);
-    }
-    if admit_class.len() != admit_times.len() {
-        return Err(SnapshotError::Corrupt("admit class/time length mismatch"));
-    }
-    let mut admitted_per_class = Vec::with_capacity(r.len_capped(1)?);
-    for _ in 0..admitted_per_class.capacity() {
-        admitted_per_class.push(r.v()?);
-    }
-    Ok(ArrivalCursor {
-        cursor,
-        deferred,
-        deferred_units,
-        submitted,
-        admitted,
-        rejected,
-        deferrals,
-        peak_deferred,
-        leak_tick,
-        admit_times,
-        dispatch_times,
-        admit_class,
-        admitted_per_class,
-    })
-}
-
-fn get_cfg(r: &mut Rd) -> Result<SimConfig, SnapshotError> {
-    let protocol = match r.u8()? {
-        0 => Protocol::NonInterruptible,
-        1 => Protocol::Interruptible,
-        _ => return Err(SnapshotError::Corrupt("protocol tag out of range")),
-    };
-    let buffers = get_buffer_policy(r)?;
-    let selector = match r.u8()? {
-        0 => SelectorKind::BandwidthCentric,
-        1 => SelectorKind::ComputeCentric,
-        2 => SelectorKind::RoundRobin,
-        _ => return Err(SnapshotError::Corrupt("selector tag out of range")),
-    };
-    let observer = get_observer_kind(r)?;
-    let self_first = r.bool()?;
-    let total_tasks = r.v()?;
-    let mut checkpoints = Vec::with_capacity(r.len_capped(1)?);
-    for _ in 0..checkpoints.capacity() {
-        checkpoints.push(r.v()?);
-    }
-    let mut changes = Vec::with_capacity(r.len_capped(3)?);
-    for _ in 0..changes.capacity() {
-        let after_tasks = r.v()?;
-        let node = NodeId(r.v32()?);
-        let kind = match r.u8()? {
-            0 => ChangeKind::CommTime(r.v()?),
-            1 => ChangeKind::ComputeTime(r.v()?),
-            2 => ChangeKind::Join {
-                comm: r.v()?,
-                compute: r.v()?,
-            },
-            3 => ChangeKind::Leave,
-            _ => return Err(SnapshotError::Corrupt("change tag out of range")),
-        };
-        changes.push(PlannedChange {
-            after_tasks,
-            node,
-            kind,
-        });
-    }
-    let max_events = r.v()?;
-    let checked = r.bool()?;
-    let elision = r.bool()?;
-    let fault = match r.u8()? {
-        0 => None,
-        1 => Some(FaultInjection::FbOffByOne),
-        2 => Some(FaultInjection::LeakTask { every: r.v()? }),
-        3 => Some(FaultInjection::SwallowReissue),
-        4 => Some(FaultInjection::LeakQueuedTask { every: r.v()? }),
-        _ => return Err(SnapshotError::Corrupt("fault-injection tag out of range")),
-    };
-    let fault_plan = match r.u8()? {
-        0 => None,
-        1 => {
-            let seed = r.v()?;
-            let mut faults = Vec::with_capacity(r.len_capped(3)?);
-            for _ in 0..faults.capacity() {
-                let at = r.v()?;
-                let node = NodeId(r.v32()?);
-                let kind = get_fault_kind(r)?;
-                faults.push(FaultEvent { at, node, kind });
-            }
-            let recovery = get_recovery(r)?;
-            Some(FaultPlan {
-                seed,
-                faults,
-                recovery,
-            })
-        }
-        _ => return Err(SnapshotError::Corrupt("fault-plan tag out of range")),
-    };
-    let arrivals = match r.u8()? {
-        0 => None,
-        1 => Some(get_arrival_plan(r)?),
-        _ => return Err(SnapshotError::Corrupt("arrival-plan tag out of range")),
-    };
-    Ok(SimConfig {
-        protocol,
-        buffers,
-        selector,
-        observer,
-        self_first,
-        total_tasks,
-        checkpoints,
-        changes,
-        max_events,
-        checked,
-        elision,
-        fault,
-        fault_plan,
-        arrivals,
-    })
-}
-
-fn put_ledger(b: &mut Vec<u8>, s: &LedgerState) {
-    put_buffer_policy(b, &s.policy);
-    put_v(b, s.capacity as u64);
-    put_v(b, s.held as u64);
-    put_v(b, s.covered as u64);
-    put_v(b, s.max_capacity as u64);
-    put_v(b, s.peak_held as u64);
-    put_bool(b, s.filled_since_growth);
-    put_bool(b, s.grown_since_arrival);
-}
-
-fn get_ledger(r: &mut Rd) -> Result<LedgerState, SnapshotError> {
-    Ok(LedgerState {
-        policy: get_buffer_policy(r)?,
-        capacity: r.v32()?,
-        held: r.v32()?,
-        covered: r.v32()?,
-        max_capacity: r.v32()?,
-        peak_held: r.v32()?,
-        filled_since_growth: r.bool()?,
-        grown_since_arrival: r.bool()?,
-    })
-}
-
-fn put_ws(b: &mut Vec<u8>, ws: &WorkspaceSnapshot) {
-    // Agenda: both tiers verbatim (tombstones, bucket drain heads, slot
-    // generations, and free-list order are all part of the state — they
-    // decide future handle assignment and pop order).
-    let a = &ws.agenda;
-    put_v(b, a.heap.len() as u64);
-    for e in &a.heap {
-        put_u128(b, e.raw());
-    }
-    put_v(b, a.buckets.len() as u64);
-    for (index, head, entries) in &a.buckets {
-        put_v(b, *index as u64);
-        put_v(b, *head as u64);
-        put_v(b, entries.len() as u64);
-        for e in entries {
-            put_u128(b, e.raw());
-        }
-    }
-    put_v(b, a.slots.len() as u64);
-    for s in &a.slots {
-        put_v(b, s.generation as u64);
-        put_bool(b, s.in_far);
-        match &s.payload {
-            None => put_u8(b, 0),
-            Some(e) => {
-                put_u8(b, 1);
-                put_event(b, e);
-            }
-        }
-    }
-    put_v(b, a.free.len() as u64);
-    for &f in &a.free {
-        put_v(b, f as u64);
-    }
-    put_v(b, a.now);
-    put_v(b, a.seq);
-    put_v(b, a.live);
-    put_v(b, a.near_live);
-    put_v(b, a.near_entries);
-    put_v(b, a.far_dead);
-
-    put_v(b, ws.hot.len() as u64);
-    for h in &ws.hot {
-        match &h.ledger {
-            None => put_u8(b, 0),
-            Some(l) => {
-                put_u8(b, 1);
-                put_ledger(b, &l.state());
-            }
-        }
-        put_opt_v(b, h.computing_since);
-        put_v(b, h.tasks_computed);
-        put_v(b, h.busy_compute);
-        put_v(b, h.busy_link);
-        put_bool(b, h.departed);
-        put_bool(b, h.crashed);
-    }
-    for c in &ws.cold {
-        let o = c.observer.state();
-        put_observer_kind(b, &o.kind);
-        put_v(b, o.estimates.len() as u64);
-        for &e in &o.estimates {
-            put_v(b, e);
-        }
-        for &s in &o.samples {
-            put_v(b, s);
-        }
-        match c.selector {
-            ChildSelector::BandwidthCentric => put_u8(b, 0),
-            ChildSelector::ComputeCentric => put_u8(b, 1),
-            ChildSelector::RoundRobin { cursor } => {
-                put_u8(b, 2);
-                put_v(b, cursor as u64);
-            }
-        }
-        put_v(b, c.preemptions);
-        put_v(b, c.last_pressure);
-    }
-    for s in &ws.sending {
-        match s {
-            None => put_u8(b, 0),
-            Some(s) => {
-                put_u8(b, 1);
-                put_v(b, s.child_pos as u64);
-                put_v(b, s.started_at);
-                put_handle(b, s.handle);
-            }
-        }
-    }
-    for a in &ws.active {
-        match a {
-            None => put_u8(b, 0),
-            Some(a) => {
-                put_u8(b, 1);
-                put_v(b, a.child_pos as u64);
-                put_v(b, a.started_at);
-                put_v(b, a.remaining_at_start);
-                put_handle(b, a.handle);
-            }
-        }
-    }
-    for f in &ws.faults {
-        put_bool(b, f.orphaned);
-        put_v(b, f.lost_requests as u64);
-        put_v(b, f.pending_nacks as u64);
-        put_v(b, f.retry as u64);
-        match f.timeout {
-            None => put_u8(b, 0),
-            Some(h) => {
-                put_u8(b, 1);
-                put_handle(b, h);
-            }
-        }
-        put_v(b, f.outage_until);
-        put_v(b, f.drop_batches as u64);
-        put_v(b, f.dup_deliveries as u64);
-    }
-    for p in &ws.parent_of {
-        put_v(b, p.map_or(0, |p| p as u64 + 1));
-    }
-    for &c in &ws.child_pos {
-        put_v(b, c as u64);
-    }
-    for &k in &ws.kid_start {
-        put_v(b, k as u64);
-    }
-    put_v(b, ws.kid_node.len() as u64);
-    for &k in &ws.kid_node {
-        put_v(b, k as u64);
-    }
-    for &k in &ws.kid_pending {
-        put_v(b, k as u64);
-    }
-    for s in &ws.kid_slot {
-        match s {
-            None => put_u8(b, 0),
-            Some(s) => {
-                put_u8(b, 1);
-                put_v(b, s.remaining);
-                put_v(b, s.total);
-                put_bool(b, s.started);
-            }
-        }
-    }
-    for &k in &ws.kid_comm {
-        put_v(b, k);
-    }
-    for &k in &ws.kid_compute {
-        put_v(b, k);
-    }
-    b.extend_from_slice(&ws.kid_missed);
-    for &p in &ws.pending_sum {
-        put_v(b, p as u64);
-    }
-    for &s in &ws.slots_used {
-        put_v(b, s as u64);
-    }
-    for &g in &ws.kid_gone {
-        put_bool(b, g);
-    }
-    put_v(b, ws.completion_times.len() as u64);
-    for &t in &ws.completion_times {
-        put_v(b, t);
-    }
-    put_v(b, ws.checkpoint_records.len() as u64);
-    for &(tasks, max) in &ws.checkpoint_records {
-        put_v(b, tasks);
-        put_v(b, max as u64);
+wire_struct! {
+    HotW for HotNode {
+        ledger: Opt(
+            Via(LedgerW, BufferLedger::state, BufferLedger::from_state),
+            "ledger tag out of range"
+        ),
+        computing_since: opt(Leb),
+        tasks_computed: Leb,
+        busy_compute: Leb,
+        busy_link: Leb,
+        departed: Bool,
+        crashed: Bool,
     }
 }
 
-fn get_ws(r: &mut Rd) -> Result<WorkspaceSnapshot, SnapshotError> {
-    let mut heap = Vec::with_capacity(r.len_capped(16)?);
-    for _ in 0..heap.capacity() {
-        heap.push(PackedEvent::from_raw(r.u128()?));
+wire_struct! {
+    ObserverW for ObserverState {
+        kind: OBSERVER_KIND,
+        estimates: Seq(Leb, Leb),
+        samples[estimates.len()]: Leb,
     }
-    let mut buckets = Vec::with_capacity(r.len_capped(3)?);
-    for _ in 0..buckets.capacity() {
-        let index = r.v32()?;
-        if index >= NEAR_BUCKETS {
-            return Err(SnapshotError::Corrupt("bucket index out of range"));
-        }
-        let head = r.v32()?;
-        let mut entries = Vec::with_capacity(r.len_capped(16)?);
-        for _ in 0..entries.capacity() {
-            entries.push(PackedEvent::from_raw(r.u128()?));
-        }
-        if head as usize > entries.len() {
-            return Err(SnapshotError::Corrupt("bucket head past entries"));
-        }
-        buckets.push((index, head, entries));
-    }
-    let mut slots = Vec::with_capacity(r.len_capped(3)?);
-    for _ in 0..slots.capacity() {
-        let generation = r.v32()?;
-        let in_far = r.bool()?;
-        let payload = match r.u8()? {
-            0 => None,
-            1 => Some(get_event(r)?),
-            _ => return Err(SnapshotError::Corrupt("slot payload tag out of range")),
-        };
-        slots.push(SlotSnapshot {
-            generation,
-            in_far,
-            payload,
-        });
-    }
-    let mut free = Vec::with_capacity(r.len_capped(1)?);
-    for _ in 0..free.capacity() {
-        let f = r.v32()?;
-        if f as usize >= slots.len() {
-            return Err(SnapshotError::Corrupt("free slot out of range"));
-        }
-        free.push(f);
-    }
-    let agenda = AgendaSnapshot {
-        heap,
-        buckets,
-        slots,
-        free,
-        now: r.v()?,
-        seq: r.v()?,
-        live: r.v()?,
-        near_live: r.v()?,
-        near_entries: r.v()?,
-        far_dead: r.v()?,
-    };
+}
 
-    let n = r.len_capped(7)?;
-    let mut hot = Vec::with_capacity(n);
-    for _ in 0..n {
-        let ledger = match r.u8()? {
-            0 => None,
-            1 => Some(BufferLedger::from_state(get_ledger(r)?)),
-            _ => return Err(SnapshotError::Corrupt("ledger tag out of range")),
-        };
-        hot.push(HotNode {
-            ledger,
-            computing_since: r.opt_v()?,
-            tasks_computed: r.v()?,
-            busy_compute: r.v()?,
-            busy_link: r.v()?,
-            departed: r.bool()?,
-            crashed: r.bool()?,
-        });
+wire_struct! {
+    ColdW for ColdNode {
+        observer: Via(ObserverW, LatencyObserver::state, LatencyObserver::from_state),
+        selector: ChildSelectorW,
+        preemptions: Leb,
+        last_pressure: Leb,
     }
-    let mut cold = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = get_observer_kind(r)?;
-        let kids = r.len_capped(1)?;
-        let mut estimates = Vec::with_capacity(kids);
-        for _ in 0..kids {
-            estimates.push(r.v()?);
-        }
-        let mut samples = Vec::with_capacity(kids);
-        for _ in 0..kids {
-            samples.push(r.v()?);
-        }
-        let observer = LatencyObserver::from_state(ObserverState {
-            kind,
-            estimates,
-            samples,
-        });
-        let selector = match r.u8()? {
-            0 => ChildSelector::BandwidthCentric,
-            1 => ChildSelector::ComputeCentric,
-            2 => ChildSelector::RoundRobin {
-                cursor: r.v()? as usize,
-            },
-            _ => return Err(SnapshotError::Corrupt("selector tag out of range")),
-        };
-        cold.push(ColdNode {
-            observer,
-            selector,
-            preemptions: r.v()?,
-            last_pressure: r.v()?,
-        });
+}
+
+wire_struct! {
+    SendingW for Sending { child_pos: Leb, started_at: Leb, handle: HANDLE }
+}
+
+wire_struct! {
+    ActiveW for ActiveTransfer {
+        child_pos: Leb,
+        started_at: Leb,
+        remaining_at_start: Leb,
+        handle: HANDLE,
     }
-    let mut sending = Vec::with_capacity(n);
-    for _ in 0..n {
-        sending.push(match r.u8()? {
-            0 => None,
-            1 => Some(Sending {
-                child_pos: r.vus()?,
-                started_at: r.v()?,
-                handle: get_handle(r)?,
-            }),
-            _ => return Err(SnapshotError::Corrupt("sending tag out of range")),
-        });
+}
+
+wire_struct! {
+    FaultRtW for FaultRt {
+        orphaned: Bool,
+        lost_requests: Leb,
+        pending_nacks: Leb,
+        retry: Leb,
+        timeout: Opt(HANDLE, "timeout tag out of range"),
+        outage_until: Leb,
+        drop_batches: Leb,
+        dup_deliveries: Leb,
     }
-    let mut active = Vec::with_capacity(n);
-    for _ in 0..n {
-        active.push(match r.u8()? {
-            0 => None,
-            1 => Some(ActiveTransfer {
-                child_pos: r.vus()?,
-                started_at: r.v()?,
-                remaining_at_start: r.v()?,
-                handle: get_handle(r)?,
-            }),
-            _ => return Err(SnapshotError::Corrupt("active tag out of range")),
-        });
+}
+
+wire_struct! {
+    SlotTransferW for SlotTransfer { remaining: Leb, total: Leb, started: Bool }
+}
+
+// Per-node arrays carry one row per `hot` entry, per-child arrays one
+// per `kid_node` entry.
+wire_struct! {
+    WorkspaceW for WorkspaceSnapshot {
+        agenda: AgendaW,
+        hot: Seq(Leb, HotW),
+        cold[hot.len()]: ColdW,
+        sending[hot.len()]: Opt(SendingW, "sending tag out of range"),
+        active[hot.len()]: Opt(ActiveW, "active tag out of range"),
+        faults[hot.len()]: FaultRtW,
+        parent_of[hot.len()]: PARENT,
+        child_pos[hot.len()]: Leb,
+        kid_start[hot.len() + 1]: Leb,
+        kid_node: Seq(Leb, Leb),
+        kid_pending[kid_node.len()]: Leb,
+        kid_slot[kid_node.len()]: Opt(SlotTransferW, "kid slot tag out of range"),
+        kid_comm[kid_node.len()]: Leb,
+        kid_compute[kid_node.len()]: Leb,
+        kid_missed[kid_node.len()]: Byte,
+        pending_sum[hot.len()]: Leb,
+        slots_used[hot.len()]: Leb,
+        kid_gone[kid_node.len()]: Bool,
+        completion_times: Seq(Leb, Leb),
+        checkpoint_records: Seq(Leb, (Leb, Leb)),
     }
-    let mut faults = Vec::with_capacity(n);
-    for _ in 0..n {
-        faults.push(FaultRt {
-            orphaned: r.bool()?,
-            lost_requests: r.v32()?,
-            pending_nacks: r.v32()?,
-            retry: r.v32()?,
-            timeout: match r.u8()? {
-                0 => None,
-                1 => Some(get_handle(r)?),
-                _ => return Err(SnapshotError::Corrupt("timeout tag out of range")),
-            },
-            outage_until: r.v()?,
-            drop_batches: r.v32()?,
-            dup_deliveries: r.v32()?,
-        });
-    }
-    let mut parent_of = Vec::with_capacity(n);
-    for _ in 0..n {
-        let p = r.v()?;
-        parent_of.push(if p == 0 { None } else { Some(p as usize - 1) });
-    }
-    let mut child_pos = Vec::with_capacity(n);
-    for _ in 0..n {
-        child_pos.push(r.vus()?);
-    }
-    let mut kid_start = Vec::with_capacity(n + 1);
-    for _ in 0..n + 1 {
-        kid_start.push(r.v32()?);
-    }
-    let kids_total = r.len_capped(1)?;
-    if kid_start.first() != Some(&0)
-        || kid_start.last() != Some(&(kids_total as u32))
-        || kid_start.windows(2).any(|w| w[0] > w[1])
+}
+
+/// Workspace consistency the restore path relies on: free slots and
+/// child ids index their arrays, and the CSR row offsets partition the
+/// child arrays.
+fn check_workspace(ws: &WorkspaceSnapshot) -> Result<(), &'static str> {
+    if ws
+        .agenda
+        .free
+        .iter()
+        .any(|&f| f as usize >= ws.agenda.slots.len())
     {
-        return Err(SnapshotError::Corrupt("CSR row offsets inconsistent"));
+        return Err("free slot out of range");
     }
-    let mut kid_node = Vec::with_capacity(kids_total);
-    for _ in 0..kids_total {
-        let k = r.v32()?;
-        if k as usize >= n {
-            return Err(SnapshotError::Corrupt("child node out of range"));
-        }
-        kid_node.push(k);
+    let kids = ws.kid_node.len();
+    if ws.kid_start.first() != Some(&0)
+        || ws.kid_start.last().map(|&k| k as usize) != Some(kids)
+        || ws.kid_start.windows(2).any(|w| w[0] > w[1])
+    {
+        return Err("CSR row offsets inconsistent");
     }
-    let mut kid_pending = Vec::with_capacity(kids_total);
-    for _ in 0..kids_total {
-        kid_pending.push(r.v32()?);
+    if ws.kid_node.iter().any(|&k| k as usize >= ws.hot.len()) {
+        return Err("child node out of range");
     }
-    let mut kid_slot = Vec::with_capacity(kids_total);
-    for _ in 0..kids_total {
-        kid_slot.push(match r.u8()? {
-            0 => None,
-            1 => Some(SlotTransfer {
-                remaining: r.v()?,
-                total: r.v()?,
-                started: r.bool()?,
-            }),
-            _ => return Err(SnapshotError::Corrupt("kid slot tag out of range")),
-        });
-    }
-    let mut kid_comm = Vec::with_capacity(kids_total);
-    for _ in 0..kids_total {
-        kid_comm.push(r.v()?);
-    }
-    let mut kid_compute = Vec::with_capacity(kids_total);
-    for _ in 0..kids_total {
-        kid_compute.push(r.v()?);
-    }
-    let mut kid_missed = Vec::with_capacity(kids_total);
-    for _ in 0..kids_total {
-        kid_missed.push(r.u8()?);
-    }
-    let mut pending_sum = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending_sum.push(r.v32()?);
-    }
-    let mut slots_used = Vec::with_capacity(n);
-    for _ in 0..n {
-        slots_used.push(r.v32()?);
-    }
-    let mut kid_gone = Vec::with_capacity(kids_total);
-    for _ in 0..kids_total {
-        kid_gone.push(r.bool()?);
-    }
-    let mut completion_times = Vec::with_capacity(r.len_capped(1)?);
-    for _ in 0..completion_times.capacity() {
-        completion_times.push(r.v()?);
-    }
-    let mut checkpoint_records = Vec::with_capacity(r.len_capped(2)?);
-    for _ in 0..checkpoint_records.capacity() {
-        let tasks = r.v()?;
-        let max = r.v32()?;
-        checkpoint_records.push((tasks, max));
-    }
-    Ok(WorkspaceSnapshot {
-        agenda,
-        hot,
-        cold,
-        sending,
-        active,
-        faults,
-        parent_of,
-        child_pos,
-        kid_start,
-        kid_node,
-        kid_pending,
-        kid_slot,
-        kid_comm,
-        kid_compute,
-        kid_missed,
-        pending_sum,
-        slots_used,
-        kid_gone,
-        completion_times,
-        checkpoint_records,
-    })
+    Ok(())
 }
 
-fn put_fstats(b: &mut Vec<u8>, s: &FaultStats) {
-    put_v(b, s.faults_injected);
-    put_v(b, s.tasks_lost);
-    put_v(b, s.tasks_reissued);
-    put_v(b, s.requests_dropped);
-    put_v(b, s.retries);
-    put_v(b, s.gave_up);
-    put_v(b, s.crashes);
-    put_v(b, s.transfer_aborts);
-    put_v(b, s.children_declared_dead);
-    put_v(b, s.children_revived);
-    put_v(b, s.duplicates_dropped);
-    put_opt_v(b, s.last_crash_time);
+wire_struct! {
+    FaultStatsW for FaultStats {
+        faults_injected: Leb,
+        tasks_lost: Leb,
+        tasks_reissued: Leb,
+        requests_dropped: Leb,
+        retries: Leb,
+        gave_up: Leb,
+        crashes: Leb,
+        transfer_aborts: Leb,
+        children_declared_dead: Leb,
+        children_revived: Leb,
+        duplicates_dropped: Leb,
+        last_crash_time: opt(Leb),
+    }
 }
 
-fn get_fstats(r: &mut Rd) -> Result<FaultStats, SnapshotError> {
-    Ok(FaultStats {
-        faults_injected: r.v()?,
-        tasks_lost: r.v()?,
-        tasks_reissued: r.v()?,
-        requests_dropped: r.v()?,
-        retries: r.v()?,
-        gave_up: r.v()?,
-        crashes: r.v()?,
-        transfer_aborts: r.v()?,
-        children_declared_dead: r.v()?,
-        children_revived: r.v()?,
-        duplicates_dropped: r.v()?,
-        last_crash_time: r.opt_v()?,
-    })
+wire_struct! {
+    ArrivalCursorW for ArrivalCursor {
+        cursor: Leb,
+        deferred: Seq(Leb, Leb),
+        deferred_units: Leb,
+        submitted: Leb,
+        admitted: Leb,
+        rejected: Leb,
+        deferrals: Leb,
+        peak_deferred: Leb,
+        leak_tick: Leb,
+        admit_times: Seq(Leb, Leb),
+        dispatch_times: Seq(Leb, Leb),
+        // Has admit_times's length by construction; the record keeps its
+        // own prefix so it stays self-describing.
+        admit_class: Seq(Leb, Leb),
+        admitted_per_class: Seq(Leb, Leb),
+    }
+}
+
+fn admit_lengths(c: &ArrivalCursor) -> Result<(), &'static str> {
+    if c.admit_class.len() != c.admit_times.len() {
+        return Err("admit class/time length mismatch");
+    }
+    Ok(())
+}
+
+wire_struct! {
+    CursorW for CursorSnapshot {
+        remaining: Leb,
+        completed: Leb,
+        next_checkpoint: Leb,
+        next_change: Leb,
+        events_processed: Leb,
+        preemptions: Leb,
+        transfers_started: Leb,
+        requests_sent: Leb,
+        started: Bool,
+        finished: Bool,
+        check_last_now: Leb,
+        events_since_sweep: Leb,
+        faulty_deliveries: Leb,
+        fault_active: Bool,
+        recovery: RecoveryW,
+        fault_seed: Leb,
+        dead_threshold: Byte,
+        lost_pending: Leb,
+        fstats: FaultStatsW,
+        elided: Leb,
+        finish_target: Leb,
+        arrivals: Opt(
+            Checked(ArrivalCursorW, admit_lengths),
+            "arrival-cursor tag out of range"
+        ),
+    }
+}
+
+wire_struct! {
+    SimSnapshotW for SimSnapshot { tree: TreeW, cfg: ConfigW, ws: WorkspaceW, cur: CursorW }
 }
 
 impl SimSnapshot {
@@ -1761,101 +1085,160 @@ impl SimSnapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(256);
         b.extend_from_slice(MAGIC);
-        put_u8(&mut b, VERSION);
-        put_tree(&mut b, &self.tree);
-        put_cfg(&mut b, &self.cfg);
-        put_ws(&mut b, &self.ws);
-        let c = &self.cur;
-        put_v(&mut b, c.remaining);
-        put_v(&mut b, c.completed);
-        put_v(&mut b, c.next_checkpoint);
-        put_v(&mut b, c.next_change);
-        put_v(&mut b, c.events_processed);
-        put_v(&mut b, c.preemptions);
-        put_v(&mut b, c.transfers_started);
-        put_v(&mut b, c.requests_sent);
-        put_bool(&mut b, c.started);
-        put_bool(&mut b, c.finished);
-        put_v(&mut b, c.check_last_now);
-        put_v(&mut b, c.events_since_sweep as u64);
-        put_v(&mut b, c.faulty_deliveries);
-        put_bool(&mut b, c.fault_active);
-        put_recovery(&mut b, &c.recovery);
-        put_v(&mut b, c.fault_seed);
-        put_u8(&mut b, c.dead_threshold);
-        put_v(&mut b, c.lost_pending);
-        put_fstats(&mut b, &c.fstats);
-        put_v(&mut b, c.elided);
-        put_v(&mut b, c.finish_target);
-        match &c.arrivals {
-            None => put_u8(&mut b, 0),
-            Some(ar) => {
-                put_u8(&mut b, 1);
-                put_arrival_cursor(&mut b, ar);
-            }
-        }
+        b.push(VERSION);
+        SimSnapshotW.put(&mut b, self);
         b
     }
 
     /// Decodes a snapshot serialized by [`SimSnapshot::to_bytes`].
-    /// Structural consistency (magic, version, tags, lengths, CSR
-    /// shape) is verified; semantic validity — that the state is one a
-    /// real run can reach — is trusted, as with any checkpoint file.
+    /// Structural consistency (magic, version, tags, lengths, canonical
+    /// integers, CSR shape) is verified; semantic validity — that the
+    /// state is one a real run can reach — is trusted, as with any
+    /// checkpoint file.
     pub fn from_bytes(bytes: &[u8]) -> Result<SimSnapshot, SnapshotError> {
-        let mut r = Rd { buf: bytes, pos: 0 };
-        let mut magic = [0u8; 4];
-        for m in &mut magic {
-            *m = r.u8().map_err(|_| SnapshotError::BadMagic)?;
-        }
-        if &magic != MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.bytes(MAGIC.len()) != Ok(MAGIC) {
             return Err(SnapshotError::BadMagic);
         }
         let version = r.u8()?;
         if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let tree = get_tree(&mut r)?;
-        let cfg = get_cfg(&mut r)?;
-        let ws = get_ws(&mut r)?;
-        if ws.hot.len() != tree.len() {
+        let snap = SimSnapshotW.get(&mut r)?;
+        check_workspace(&snap.ws).map_err(SnapshotError::Corrupt)?;
+        if snap.ws.hot.len() != snap.tree.len() {
             return Err(SnapshotError::Corrupt("arena size != tree size"));
         }
-        let cur = CursorSnapshot {
-            remaining: r.v()?,
-            completed: r.v()?,
-            next_checkpoint: r.v()?,
-            next_change: r.v()?,
-            events_processed: r.v()?,
-            preemptions: r.v()?,
-            transfers_started: r.v()?,
-            requests_sent: r.v()?,
-            started: r.bool()?,
-            finished: r.bool()?,
-            check_last_now: r.v()?,
-            events_since_sweep: r.v32()?,
-            faulty_deliveries: r.v()?,
-            fault_active: r.bool()?,
-            recovery: get_recovery(&mut r)?,
-            fault_seed: r.v()?,
-            dead_threshold: r.u8()?,
-            lost_pending: r.v()?,
-            fstats: get_fstats(&mut r)?,
-            elided: r.v()?,
-            finish_target: r.v()?,
-            arrivals: match r.u8()? {
-                0 => None,
-                1 => Some(get_arrival_cursor(&mut r)?),
-                _ => return Err(SnapshotError::Corrupt("arrival-cursor tag out of range")),
-            },
-        };
-        if r.pos != bytes.len() {
+        if r.remaining() != 0 {
             return Err(SnapshotError::Corrupt("trailing bytes"));
         }
         // Cross-layer consistency: an arrival plan in the config must come
         // with cursor state and vice versa — restore unwraps the pairing.
-        if cfg.arrivals.is_some() != cur.arrivals.is_some() {
+        if snap.cfg.arrivals.is_some() != snap.cur.arrivals.is_some() {
             return Err(SnapshotError::Corrupt("arrival plan/cursor mismatch"));
         }
-        Ok(SimSnapshot { tree, cfg, ws, cur })
+        Ok(snap)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::mem::{discriminant, Discriminant};
+
+    fn fixtures() -> Vec<(String, SimSnapshot)> {
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/formats");
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(&dir).expect("format fixture dir") {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !name.starts_with("bcss-") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let digits: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+            let bytes: Vec<u8> = digits
+                .chunks(2)
+                .map(|p| u8::from_str_radix(std::str::from_utf8(p).unwrap(), 16).unwrap())
+                .collect();
+            let snap = SimSnapshot::from_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("fixture {name} does not decode: {e}"));
+            out.push((name, snap));
+        }
+        out
+    }
+
+    /// Collects the distinct variants of one enum seen across fixtures.
+    struct Seen<T>(HashSet<Discriminant<T>>, &'static str, usize);
+
+    impl<T> Seen<T> {
+        fn new(what: &'static str, variants: usize) -> Self {
+            Seen(HashSet::new(), what, variants)
+        }
+        fn add(&mut self, v: &T) {
+            self.0.insert(discriminant(v));
+        }
+        fn check(&self) {
+            assert_eq!(
+                self.0.len(),
+                self.2,
+                "the BCSS format fixtures use {} of {} {} tags",
+                self.0.len(),
+                self.2,
+                self.1
+            );
+        }
+    }
+
+    /// The committed `BCSS` fixtures (`tests/golden/formats/bcss-*.hex`,
+    /// pinned by the root `format_goldens` test) must between them use
+    /// every tag of every enum in the format, so a drifted tag in any
+    /// declaration fails a byte comparison.
+    #[test]
+    fn format_fixtures_cover_every_tag() {
+        let snaps = fixtures();
+        assert!(!snaps.is_empty(), "no BCSS fixtures found");
+        let mut event = Seen::new("Event", 9);
+        let mut protocol = Seen::new("Protocol", 2);
+        let mut policy = Seen::new("BufferPolicy", 2);
+        let mut gate = Seen::new("GrowthGate", 3);
+        let mut selector = Seen::new("SelectorKind", 3);
+        let mut child = Seen::new("ChildSelector", 3);
+        let mut observer = Seen::new("ObserverKind", 3);
+        let mut change = Seen::new("ChangeKind", 4);
+        let mut injection = Seen::new("FaultInjection", 4);
+        let mut uninjected = false;
+        let mut fault = Seen::new("FaultKind", 5);
+        let mut process = Seen::new("ArrivalProcess", 3);
+        let mut admission = Seen::new("AdmissionPolicy", 2);
+        for (_, s) in &snaps {
+            let cfg = &s.cfg;
+            protocol.add(&cfg.protocol);
+            policy.add(&cfg.buffers);
+            if let BufferPolicy::Growable { gate: g, .. } = &cfg.buffers {
+                gate.add(g);
+            }
+            selector.add(&cfg.selector);
+            observer.add(&cfg.observer);
+            cfg.changes.iter().for_each(|c| change.add(&c.kind));
+            match &cfg.fault {
+                Some(f) => injection.add(f),
+                None => uninjected = true,
+            }
+            if let Some(plan) = &cfg.fault_plan {
+                plan.faults.iter().for_each(|f| fault.add(&f.kind));
+            }
+            if let Some(plan) = &cfg.arrivals {
+                plan.classes.iter().for_each(|c| process.add(&c.process));
+                admission.add(&plan.policy);
+            }
+            for slot in &s.ws.agenda.slots {
+                if let Some(e) = &slot.payload {
+                    event.add(e);
+                }
+            }
+            for c in &s.ws.cold {
+                child.add(&c.selector);
+                observer.add(&c.observer.state().kind);
+            }
+        }
+        event.check();
+        protocol.check();
+        policy.check();
+        gate.check();
+        selector.check();
+        child.check();
+        observer.check();
+        change.check();
+        injection.check();
+        assert!(
+            uninjected,
+            "no BCSS format fixture runs without fault injection"
+        );
+        fault.check();
+        process.check();
+        admission.check();
     }
 }

@@ -20,12 +20,17 @@ use bc_engine::{
 use bc_platform::{NodeId, RandomTreeConfig};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-/// Decode arbitrary bytes; if the decoder accepts them, the canonical
-/// form must re-encode without panicking (we don't demand restore
-/// safety for semantically impossible states, only decode totality).
+/// Decode arbitrary bytes; if the decoder accepts them, they must be the
+/// canonical form: re-encoding reproduces the input byte for byte (we
+/// don't demand restore safety for semantically impossible states, only
+/// decode totality and canonicity).
 fn probe(bytes: &[u8]) -> Result<(), SnapshotError> {
     SimSnapshot::from_bytes(bytes).map(|snap| {
-        let _ = snap.to_bytes();
+        assert!(
+            snap.to_bytes() == bytes,
+            "decoder accepted a non-canonical {}-byte snapshot",
+            bytes.len()
+        );
     })
 }
 
@@ -122,7 +127,8 @@ fn bit_flips_never_panic() {
                 let mut bad = bytes.clone();
                 bad[i] ^= 1 << bit;
                 // A flip in a free integer field can still decode; the
-                // contract under attack is totality, not rejection.
+                // contract under attack is totality and canonical form,
+                // not rejection.
                 let _ = probe(&bad);
             }
         }
@@ -197,4 +203,26 @@ fn arrival_plan_without_cursor_is_rejected() {
         hit_mismatch,
         "no forgery reached the plan/cursor consistency check"
     );
+}
+
+/// Regression: LEB128 has many encodings of one value, and the decoder
+/// used to accept padded ones (`0x25` as `0xa5 0x00`), so decode then
+/// encode was not the identity and a `bc-serve` restore followed by a
+/// snapshot could export bytes other than the ones it was given. Only
+/// the minimal form decodes now.
+#[test]
+fn non_minimal_varints_are_rejected() {
+    for bytes in corpus() {
+        // Offset 5 is the tree's node count, the first varint after the
+        // magic and version; the corpus trees have fewer than 128 nodes.
+        let n = bytes[5];
+        assert!(n < 0x80);
+        let mut padded = bytes[..5].to_vec();
+        padded.extend_from_slice(&[n | 0x80, 0x00]);
+        padded.extend_from_slice(&bytes[6..]);
+        assert_eq!(
+            SimSnapshot::from_bytes(&padded).unwrap_err(),
+            SnapshotError::Corrupt("non-minimal varint")
+        );
+    }
 }

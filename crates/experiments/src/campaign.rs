@@ -6,11 +6,12 @@
 //! re-run independently and results never depend on thread scheduling.
 
 use bc_engine::durability::{fnv1a64, CheckpointError, CheckpointKind, CheckpointStore};
-use bc_engine::{RunResult, RunStatsAccumulator, SimConfig, SimWorkspace};
+use bc_engine::{RunResult, RunStatsAccumulator, RunStatsCodec, SimConfig, SimWorkspace};
 use bc_metrics::{detect_onset, OnsetConfig};
 use bc_platform::{RandomTreeConfig, Tree, UsedStats};
 use bc_rational::Rational;
-use bc_simcore::split_seed;
+use bc_simcore::wire::{Arr, Codec, Le, Reader, Seq, WireError};
+use bc_simcore::{split_seed, wire_struct};
 use bc_steady::SteadyState;
 use rayon::prelude::*;
 
@@ -626,70 +627,39 @@ pub fn run_grid_streaming(
 // Durable, resumable streaming
 // ---------------------------------------------------------------------------
 
-/// Accumulator-state byte form, fixed-width little-endian in field
-/// order (integrity is the `BCCK` container's job).
+wire_struct! {
+    /// Accumulator-state byte form, fixed-width little-endian in field
+    /// order (integrity is the `BCCK` container's job).
+    CampaignCodec for CampaignAccumulator {
+        run_stats: RunStatsCodec,
+        reached: Le,
+        onset_sum: Le,
+        onset_max: Le,
+        onset_hist: Arr(Le),
+        max_buffers_hist: Arr(Le),
+        nodes_sum: Le,
+        nodes_max: Le,
+        depth_sum: Le,
+        depth_max: Le,
+        used_size_sum: Le,
+        used_depth_sum: Le,
+        rate_micros_sum: Le,
+    }
+}
+
 impl CampaignAccumulator {
     /// Appends the canonical byte form to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.run_stats.encode_into(out);
-        out.extend_from_slice(&self.reached.to_le_bytes());
-        out.extend_from_slice(&self.onset_sum.to_le_bytes());
-        out.extend_from_slice(&self.onset_max.to_le_bytes());
-        for v in &self.onset_hist {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.max_buffers_hist {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&self.nodes_sum.to_le_bytes());
-        out.extend_from_slice(&self.nodes_max.to_le_bytes());
-        out.extend_from_slice(&self.depth_sum.to_le_bytes());
-        out.extend_from_slice(&self.depth_max.to_le_bytes());
-        out.extend_from_slice(&self.used_size_sum.to_le_bytes());
-        out.extend_from_slice(&self.used_depth_sum.to_le_bytes());
-        out.extend_from_slice(&self.rate_micros_sum.to_le_bytes());
+        CampaignCodec.put(out, self);
     }
 
     /// Decodes one accumulator from the front of `input`, advancing
     /// past the consumed bytes. `None` on truncation.
     pub fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        let run_stats = RunStatsAccumulator::decode_from(input)?;
-        fn u64le(input: &mut &[u8]) -> Option<u64> {
-            let (head, rest) = input.split_at_checked(8)?;
-            *input = rest;
-            Some(u64::from_le_bytes(head.try_into().unwrap()))
-        }
-        fn u128le(input: &mut &[u8]) -> Option<u128> {
-            let (head, rest) = input.split_at_checked(16)?;
-            *input = rest;
-            Some(u128::from_le_bytes(head.try_into().unwrap()))
-        }
-        let reached = u64le(input)?;
-        let onset_sum = u128le(input)?;
-        let onset_max = u64le(input)?;
-        let mut onset_hist = [0u64; HIST_BUCKETS];
-        for v in &mut onset_hist {
-            *v = u64le(input)?;
-        }
-        let mut max_buffers_hist = [0u64; HIST_BUCKETS];
-        for v in &mut max_buffers_hist {
-            *v = u64le(input)?;
-        }
-        Some(CampaignAccumulator {
-            run_stats,
-            reached,
-            onset_sum,
-            onset_max,
-            onset_hist,
-            max_buffers_hist,
-            nodes_sum: u128le(input)?,
-            nodes_max: u64le(input)?,
-            depth_sum: u128le(input)?,
-            depth_max: u64le(input)?,
-            used_size_sum: u128le(input)?,
-            used_depth_sum: u128le(input)?,
-            rate_micros_sum: u128le(input)?,
-        })
+        let mut r = Reader::new(input);
+        let acc = CampaignCodec.get(&mut r).ok()?;
+        *input = r.rest();
+        Some(acc)
     }
 }
 
@@ -732,6 +702,15 @@ impl std::error::Error for ResumeError {}
 impl From<CheckpointError> for ResumeError {
     fn from(e: CheckpointError) -> Self {
         ResumeError::Checkpoint(e)
+    }
+}
+
+impl From<WireError> for ResumeError {
+    fn from(e: WireError) -> Self {
+        ResumeError::Format(match e {
+            WireError::Truncated => "truncated payload",
+            WireError::Corrupt(what) => what,
+        })
     }
 }
 
@@ -800,91 +779,81 @@ pub struct ResumableOutcome<T> {
 /// the flattened work list or the per-tree runs. Two invocations with
 /// equal fingerprints partition identical work identically.
 fn grid_fingerprint(grid: &CampaignGrid, shard_size: usize) -> u64 {
+    let widen = |vs: &[usize]| vs.iter().map(|&v| v as u64).collect::<Vec<_>>();
+    let widen32 = |vs: &[u32]| vs.iter().map(|&v| u64::from(v)).collect::<Vec<_>>();
     let mut b = Vec::new();
-    let axis_u64 = |b: &mut Vec<u8>, vs: &[u64]| {
-        b.extend_from_slice(&(vs.len() as u64).to_le_bytes());
-        for &v in vs {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-    };
-    axis_u64(
-        &mut b,
-        &grid.max_nodes.iter().map(|&m| m as u64).collect::<Vec<_>>(),
-    );
-    axis_u64(&mut b, &grid.tasks);
-    axis_u64(
-        &mut b,
-        &grid.buffers.iter().map(|&v| v as u64).collect::<Vec<_>>(),
-    );
-    axis_u64(&mut b, &grid.comm_max);
-    axis_u64(&mut b, &grid.compute_scale);
-    b.extend_from_slice(&(grid.trees_per_cell as u64).to_le_bytes());
-    b.extend_from_slice(&grid.seed.to_le_bytes());
-    b.extend_from_slice(&grid.onset.window_threshold.to_le_bytes());
-    b.extend_from_slice(&grid.onset.crossings.to_le_bytes());
-    b.extend_from_slice(&(shard_size as u64).to_le_bytes());
+    for axis in [
+        widen(&grid.max_nodes),
+        grid.tasks.clone(),
+        widen32(&grid.buffers),
+        grid.comm_max.clone(),
+        grid.compute_scale.clone(),
+    ] {
+        Seq(Le, Le).put(&mut b, &axis);
+    }
+    Le.put(&mut b, &(grid.trees_per_cell as u64));
+    Le.put(&mut b, &grid.seed);
+    Le.put(&mut b, &grid.onset.window_threshold);
+    Le.put(&mut b, &grid.onset.crossings);
+    Le.put(&mut b, &(shard_size as u64));
     fnv1a64(&b)
 }
 
-fn encode_grid_checkpoint(
+/// A grid sweep's durable state: its identity, the work-list cursor,
+/// and one accumulator per cell, in cell order. The payload is
+/// [`CAMPAIGN_CKPT_VERSION`] followed by this record.
+struct GridCheckpoint {
     fingerprint: u64,
-    cursor: usize,
-    cells: &[(GridCell, CampaignAccumulator)],
-) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.push(CAMPAIGN_CKPT_VERSION);
-    b.extend_from_slice(&fingerprint.to_le_bytes());
-    b.extend_from_slice(&(cursor as u64).to_le_bytes());
-    b.extend_from_slice(&(cells.len() as u64).to_le_bytes());
-    for (_, acc) in cells {
-        acc.encode_into(&mut b);
-    }
-    b
+    cursor: u64,
+    cells: Vec<CampaignAccumulator>,
 }
 
-fn decode_grid_checkpoint(
-    mut input: &[u8],
-    expected_fingerprint: u64,
-    expected_cells: usize,
-) -> Result<(usize, Vec<CampaignAccumulator>), ResumeError> {
-    let input = &mut input;
-    fn u64le(input: &mut &[u8]) -> Result<u64, ResumeError> {
-        let (head, rest) = input
-            .split_at_checked(8)
-            .ok_or(ResumeError::Format("truncated header"))?;
-        *input = rest;
-        Ok(u64::from_le_bytes(head.try_into().unwrap()))
+wire_struct! {
+    GridCheckpointW for GridCheckpoint {
+        fingerprint: Le,
+        cursor: Le,
+        cells: Seq(Le, CampaignCodec),
     }
-    let (version, rest) = input
-        .split_first()
-        .ok_or(ResumeError::Format("empty payload"))?;
-    *input = rest;
-    if *version != CAMPAIGN_CKPT_VERSION {
-        return Err(ResumeError::Format("unknown payload version"));
+}
+
+impl GridCheckpoint {
+    fn to_payload(&self) -> Vec<u8> {
+        let mut b = vec![CAMPAIGN_CKPT_VERSION];
+        GridCheckpointW.put(&mut b, self);
+        b
     }
-    let found = u64le(input)?;
-    if found != expected_fingerprint {
-        return Err(ResumeError::FingerprintMismatch {
-            expected: expected_fingerprint,
-            found,
-        });
+
+    /// Decodes a payload written by [`GridCheckpoint::to_payload`] and
+    /// checks that it belongs to the sweep being resumed.
+    fn from_payload(
+        payload: &[u8],
+        expected_fingerprint: u64,
+        expected_cells: usize,
+        work_items: usize,
+    ) -> Result<GridCheckpoint, ResumeError> {
+        let mut r = Reader::new(payload);
+        let version = r.u8().map_err(|_| ResumeError::Format("empty payload"))?;
+        if version != CAMPAIGN_CKPT_VERSION {
+            return Err(ResumeError::Format("unknown payload version"));
+        }
+        let ckpt = GridCheckpointW.get(&mut r)?;
+        if ckpt.fingerprint != expected_fingerprint {
+            return Err(ResumeError::FingerprintMismatch {
+                expected: expected_fingerprint,
+                found: ckpt.fingerprint,
+            });
+        }
+        if ckpt.cells.len() != expected_cells {
+            return Err(ResumeError::Format("cell count mismatch"));
+        }
+        if r.remaining() != 0 {
+            return Err(ResumeError::Format("trailing bytes"));
+        }
+        if ckpt.cursor > work_items as u64 {
+            return Err(ResumeError::Format("cursor beyond work list"));
+        }
+        Ok(ckpt)
     }
-    let cursor = u64le(input)? as usize;
-    let n_cells = u64le(input)? as usize;
-    if n_cells != expected_cells {
-        return Err(ResumeError::Format("cell count mismatch"));
-    }
-    let mut accs = Vec::with_capacity(n_cells);
-    for _ in 0..n_cells {
-        accs.push(
-            CampaignAccumulator::decode_from(input)
-                .ok_or(ResumeError::Format("truncated accumulator"))?,
-        );
-    }
-    if !input.is_empty() {
-        return Err(ResumeError::Format("trailing bytes"));
-    }
-    Ok((cursor, accs))
 }
 
 /// [`run_grid_streaming`] with durable progress: after every
@@ -925,24 +894,20 @@ pub fn run_grid_streaming_checkpointed(
     let mut store =
         CheckpointStore::open(&policy.dir, "grid", CheckpointKind::Campaign, policy.keep)?;
 
-    let mut out: Vec<(GridCell, CampaignAccumulator)> = cells
-        .iter()
-        .cloned()
-        .map(|c| (c, CampaignAccumulator::new()))
-        .collect();
-    let mut cursor = 0usize;
+    let mut state = GridCheckpoint {
+        fingerprint,
+        cursor: 0,
+        cells: vec![CampaignAccumulator::new(); cells.len()],
+    };
     let mut resumed_from_generation = None;
     if policy.resume {
         if let Some(loaded) = store.load_latest()? {
-            let (saved_cursor, accs) =
-                decode_grid_checkpoint(&loaded.payload, fingerprint, cells.len())?;
-            if saved_cursor > tasks.len() {
-                return Err(ResumeError::Format("cursor beyond work list"));
-            }
-            for ((_, slot), acc) in out.iter_mut().zip(accs) {
-                *slot = acc;
-            }
-            cursor = saved_cursor;
+            state = GridCheckpoint::from_payload(
+                &loaded.payload,
+                fingerprint,
+                cells.len(),
+                tasks.len(),
+            )?;
             resumed_from_generation = Some(loaded.generation);
         }
     }
@@ -950,6 +915,7 @@ pub fn run_grid_streaming_checkpointed(
     let cells_ref = &cells;
     let campaigns_ref = &campaigns;
     let make_config_ref = &make_config;
+    let mut cursor = state.cursor as usize;
     let mut done_this_run = 0usize;
     let every = policy.every_shards.max(1);
     while cursor < tasks.len() {
@@ -978,11 +944,12 @@ pub fn run_grid_streaming_checkpointed(
         // Same canonical merge order as the unchunked path: work-list
         // order, grouped — merge associativity makes the grouping moot.
         for (ci, acc) in &chunk_accs {
-            out[*ci].1.merge(acc);
+            state.cells[*ci].merge(acc);
         }
         done_this_run += chunk_end - cursor;
         cursor = chunk_end;
-        store.save(&encode_grid_checkpoint(fingerprint, cursor, &out))?;
+        state.cursor = cursor as u64;
+        store.save(&state.to_payload())?;
     }
 
     Ok(ResumableOutcome {
@@ -990,104 +957,7 @@ pub fn run_grid_streaming_checkpointed(
         shards_done: cursor,
         shards_total: tasks.len(),
         resumed_from_generation,
-        results: out,
-    })
-}
-
-/// Single-campaign counterpart of [`run_grid_streaming_checkpointed`]:
-/// [`run_campaign_streaming`] with the shard cursor and the (single)
-/// accumulator persisted on the same cadence and the same resume
-/// semantics. Implemented as a one-cell grid-shaped work list over the
-/// campaign's own shards.
-pub fn run_campaign_streaming_checkpointed(
-    campaign: &CampaignConfig,
-    shard_size: usize,
-    make_config: impl Fn(u64) -> SimConfig + Sync,
-    policy: &CheckpointPolicy,
-) -> Result<ResumableOutcome<CampaignAccumulator>, ResumeError> {
-    assert!(shard_size >= 1, "shard_size must be at least 1");
-    let mut b = Vec::new();
-    b.extend_from_slice(&(campaign.trees as u64).to_le_bytes());
-    b.extend_from_slice(&campaign.tasks.to_le_bytes());
-    b.extend_from_slice(&campaign.seed.to_le_bytes());
-    b.extend_from_slice(&(campaign.tree_config.min_nodes as u64).to_le_bytes());
-    b.extend_from_slice(&(campaign.tree_config.max_nodes as u64).to_le_bytes());
-    b.extend_from_slice(&campaign.tree_config.comm_min.to_le_bytes());
-    b.extend_from_slice(&campaign.tree_config.comm_max.to_le_bytes());
-    b.extend_from_slice(&campaign.tree_config.compute_scale.to_le_bytes());
-    b.extend_from_slice(&campaign.onset.window_threshold.to_le_bytes());
-    b.extend_from_slice(&campaign.onset.crossings.to_le_bytes());
-    b.extend_from_slice(&(shard_size as u64).to_le_bytes());
-    let fingerprint = fnv1a64(&b);
-
-    let shards = campaign.trees.div_ceil(shard_size);
-    let mut store = CheckpointStore::open(
-        &policy.dir,
-        "campaign",
-        CheckpointKind::Campaign,
-        policy.keep,
-    )?;
-    let mut acc = CampaignAccumulator::new();
-    let mut cursor = 0usize;
-    let mut resumed_from_generation = None;
-    if policy.resume {
-        if let Some(loaded) = store.load_latest()? {
-            let (saved_cursor, mut accs) = decode_grid_checkpoint(&loaded.payload, fingerprint, 1)?;
-            if saved_cursor > shards {
-                return Err(ResumeError::Format("cursor beyond work list"));
-            }
-            acc = accs.pop().unwrap();
-            cursor = saved_cursor;
-            resumed_from_generation = Some(loaded.generation);
-        }
-    }
-
-    let make_config_ref = &make_config;
-    let mut done_this_run = 0usize;
-    let every = policy.every_shards.max(1);
-    while cursor < shards {
-        let mut chunk_end = (cursor + every).min(shards);
-        if let Some(stop) = policy.stop_after_shards {
-            let left = stop.saturating_sub(done_this_run);
-            if left == 0 {
-                break;
-            }
-            chunk_end = chunk_end.min(cursor + left);
-        }
-        let chunk_accs: Vec<CampaignAccumulator> = (cursor..chunk_end)
-            .into_par_iter()
-            .map_init(SimWorkspace::new, move |ws, s| {
-                let start = s * shard_size;
-                let end = ((s + 1) * shard_size).min(campaign.trees);
-                let mut acc = CampaignAccumulator::new();
-                for i in start..end {
-                    let p = campaign.prepare(i);
-                    let result = ws.run(p.tree.clone(), make_config_ref(campaign.tasks));
-                    acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
-                }
-                acc
-            })
-            .collect();
-        for shard_acc in &chunk_accs {
-            acc.merge(shard_acc);
-        }
-        done_this_run += chunk_end - cursor;
-        cursor = chunk_end;
-        let mut payload = Vec::new();
-        payload.push(CAMPAIGN_CKPT_VERSION);
-        payload.extend_from_slice(&fingerprint.to_le_bytes());
-        payload.extend_from_slice(&(cursor as u64).to_le_bytes());
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        acc.encode_into(&mut payload);
-        store.save(&payload)?;
-    }
-
-    Ok(ResumableOutcome {
-        completed: cursor == shards,
-        shards_done: cursor,
-        shards_total: shards,
-        resumed_from_generation,
-        results: acc,
+        results: cells.into_iter().zip(state.cells).collect(),
     })
 }
 
@@ -1177,13 +1047,6 @@ mod tests {
         assert_eq!(with_id, whole);
     }
 
-    fn ckpt_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("bc-campaign-ckpt-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn accumulator_codec_roundtrips() {
         let c = tiny_campaign();
@@ -1198,55 +1061,6 @@ mod tests {
             let mut short = &bytes[..cut];
             assert!(CampaignAccumulator::decode_from(&mut short).is_none());
         }
-    }
-
-    #[test]
-    fn checkpointed_campaign_interrupted_resume_is_bit_identical() {
-        let c = tiny_campaign();
-        let reference = run_campaign_streaming(&c, 2, |t| SimConfig::interruptible(3, t));
-
-        let dir = ckpt_dir("campaign");
-        // Stop after 1 shard, then resume to completion.
-        let mut policy = CheckpointPolicy::new(&dir, 1);
-        policy.stop_after_shards = Some(1);
-        let partial =
-            run_campaign_streaming_checkpointed(&c, 2, |t| SimConfig::interruptible(3, t), &policy)
-                .unwrap();
-        assert!(!partial.completed);
-        assert_eq!(partial.shards_done, 1);
-
-        let policy = CheckpointPolicy::new(&dir, 1).resuming(true);
-        let full =
-            run_campaign_streaming_checkpointed(&c, 2, |t| SimConfig::interruptible(3, t), &policy)
-                .unwrap();
-        assert!(full.completed);
-        assert!(full.resumed_from_generation.is_some());
-        assert_eq!(full.results, reference);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointed_resume_rejects_different_sweep() {
-        let c = tiny_campaign();
-        let dir = ckpt_dir("fingerprint");
-        let mut policy = CheckpointPolicy::new(&dir, 1);
-        policy.stop_after_shards = Some(1);
-        run_campaign_streaming_checkpointed(&c, 2, |t| SimConfig::interruptible(3, t), &policy)
-            .unwrap();
-        // Same directory, different seed: resume must refuse.
-        let mut other = c.clone();
-        other.seed ^= 0xDEAD;
-        let policy = CheckpointPolicy::new(&dir, 1).resuming(true);
-        match run_campaign_streaming_checkpointed(
-            &other,
-            2,
-            |t| SimConfig::interruptible(3, t),
-            &policy,
-        ) {
-            Err(ResumeError::FingerprintMismatch { .. }) => {}
-            other => panic!("expected FingerprintMismatch, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

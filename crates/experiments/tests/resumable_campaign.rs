@@ -245,3 +245,22 @@ fn counts_never_double_across_repeated_kills() {
     assert!(kills > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Resuming from another sweep's checkpoint would silently mix
+/// incompatible aggregates: same directory, different seed, and the
+/// fingerprint check must refuse before any shard runs.
+#[test]
+fn resume_rejects_a_different_sweeps_checkpoint() {
+    let dir = fresh_dir("fingerprint");
+    let mut policy = CheckpointPolicy::new(&dir, 1);
+    policy.stop_after_shards = Some(1);
+    let config =
+        |c: &bc_experiments::campaign::GridCell| SimConfig::interruptible(c.buffers, c.tasks);
+    run_grid_streaming_checkpointed(&tiny_grid(5, 3), 2, config, &policy).unwrap();
+    let policy = CheckpointPolicy::new(&dir, 1).resuming(true);
+    match run_grid_streaming_checkpointed(&tiny_grid(5 ^ 0xDEAD, 3), 2, config, &policy) {
+        Err(ResumeError::FingerprintMismatch { expected, found }) => assert_ne!(expected, found),
+        other => panic!("expected FingerprintMismatch, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

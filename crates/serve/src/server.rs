@@ -14,7 +14,8 @@ use crate::pool::WorkspacePool;
 use crate::proto::{parse_request, to_hex, OpenSpec, Request};
 use bc_engine::{RunResult, SimSnapshot, SimWorkspace, Simulation, TraceRecord, TraceSink};
 use bc_metrics::{latency_profile, per_class_throughput, LatencyProfile, LatencySummary};
-use bc_simcore::{Time, TraceEvent};
+use bc_simcore::wire::{Byte, Bytes, Codec, Le, Reader, Utf8, WireError};
+use bc_simcore::{wire_struct, Time, TraceEvent};
 use rayon::IntoParallelIterator;
 use serde::{object, Value};
 use std::collections::BTreeMap;
@@ -393,8 +394,30 @@ fn done_line(name: &str, r: &RunResult, classes: &[String]) -> String {
 /// [`Server::set_max_sessions`].
 pub const DEFAULT_MAX_SESSIONS: usize = 1024;
 
-/// Version byte of the [`Server::journal_bytes`] payload.
+/// Version byte of the [`Server::journal_bytes`] payload, which is this
+/// byte, a fixed-width session count, then one [`JournalEntry`] per
+/// `live` or `paused` session.
 const JOURNAL_VERSION: u8 = 1;
+
+/// One journaled session. `flags` bit 0 is the trace switch, bit 1 says
+/// the session was live (not paused).
+struct JournalEntry {
+    name: String,
+    flags: u8,
+    metrics_every: u64,
+    next_metric: u64,
+    snap: Vec<u8>,
+}
+
+wire_struct! {
+    JournalEntryW for JournalEntry {
+        name: Utf8(Le),
+        flags: Byte,
+        metrics_every: Le,
+        next_metric: Le,
+        snap: Bytes(Le),
+    }
+}
 
 /// What [`Server::recover_from_bytes`] managed to bring back.
 #[derive(Debug, Default)]
@@ -842,9 +865,9 @@ impl Server {
     ///
     /// [`CheckpointKind::ServeJournal`]: bc_engine::CheckpointKind
     pub fn journal_bytes(&mut self) -> Vec<u8> {
-        let mut entries: Vec<(&String, u8, u64, u64, Vec<u8>)> = Vec::new();
+        let mut entries = Vec::new();
         for (name, s) in self.sessions.iter_mut() {
-            let (live, snap_bytes) = match &mut s.state {
+            let (live, snap) = match &mut s.state {
                 State::Live(sim) => {
                     sim.start();
                     (true, sim.snapshot().to_bytes())
@@ -853,19 +876,18 @@ impl Server {
                 State::Done(_) | State::Poisoned(_) => continue,
                 State::Moving => unreachable!("transient state escaped"),
             };
-            let flags = (s.trace as u8) | ((live as u8) << 1);
-            entries.push((name, flags, s.metrics_every, s.next_metric, snap_bytes));
+            entries.push(JournalEntry {
+                name: name.clone(),
+                flags: (s.trace as u8) | ((live as u8) << 1),
+                metrics_every: s.metrics_every,
+                next_metric: s.next_metric,
+                snap,
+            });
         }
         let mut out = vec![JOURNAL_VERSION];
-        out.extend((entries.len() as u64).to_le_bytes());
-        for (name, flags, every, next, snap) in entries {
-            out.extend((name.len() as u64).to_le_bytes());
-            out.extend(name.as_bytes());
-            out.push(flags);
-            out.extend(every.to_le_bytes());
-            out.extend(next.to_le_bytes());
-            out.extend((snap.len() as u64).to_le_bytes());
-            out.extend(snap);
+        Le.put(&mut out, &(entries.len() as u64));
+        for e in &entries {
+            JournalEntryW.put(&mut out, e);
         }
         out
     }
@@ -876,40 +898,31 @@ impl Server {
     /// name, or panics during rehydration is *skipped* with a reason —
     /// one rotten entry must not block recovery of the rest.
     pub fn recover_from_bytes(&mut self, bytes: &[u8]) -> Result<RecoverReport, String> {
-        fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-            let (head, tail) = input
-                .split_at_checked(n)
-                .ok_or_else(|| "journal truncated".to_string())?;
-            *input = tail;
-            Ok(head)
-        }
-        fn take_u64(input: &mut &[u8]) -> Result<u64, String> {
-            Ok(u64::from_le_bytes(take(input, 8)?.try_into().unwrap()))
-        }
-
-        let mut input = bytes;
-        let version = *take(&mut input, 1)?.first().unwrap();
+        let framing = |e: WireError| match e {
+            WireError::Truncated => "journal truncated".to_string(),
+            WireError::Corrupt(what) => format!("journal {what}"),
+        };
+        let mut r = Reader::new(bytes);
+        let version = r.u8().map_err(framing)?;
         if version != JOURNAL_VERSION {
             return Err(format!("unsupported journal version {version}"));
         }
-        let n = take_u64(&mut input)?;
+        let n: u64 = r.get(&Le).map_err(framing)?;
         if n > (1 << 20) {
             return Err(format!("implausible journal session count {n}"));
         }
         let mut report = RecoverReport::default();
         for _ in 0..n {
-            let name_len = take_u64(&mut input)? as usize;
-            if name_len > crate::proto::MAX_SIM_NAME_LEN {
-                return Err(format!("implausible journal name length {name_len}"));
+            let JournalEntry {
+                name,
+                flags,
+                metrics_every,
+                next_metric,
+                snap,
+            } = r.get(&JournalEntryW).map_err(framing)?;
+            if name.len() > crate::proto::MAX_SIM_NAME_LEN {
+                return Err(format!("implausible journal name length {}", name.len()));
             }
-            let name = std::str::from_utf8(take(&mut input, name_len)?)
-                .map_err(|_| "journal name is not UTF-8".to_string())?
-                .to_string();
-            let flags = *take(&mut input, 1)?.first().unwrap();
-            let metrics_every = take_u64(&mut input)?;
-            let next_metric = take_u64(&mut input)?;
-            let snap_len = take_u64(&mut input)? as usize;
-            let snap_bytes = take(&mut input, snap_len)?;
             let trace = flags & 1 != 0;
             let was_live = flags & 2 != 0;
 
@@ -921,7 +934,7 @@ impl Server {
                 report.skip(name, "session limit reached");
                 continue;
             }
-            let snap = match SimSnapshot::from_bytes(snap_bytes) {
+            let snap = match SimSnapshot::from_bytes(&snap) {
                 Ok(s) => s,
                 Err(e) => {
                     report.skip(name, &format!("bad snapshot: {e:?}"));
@@ -969,8 +982,8 @@ impl Server {
             );
             report.recovered.push(name);
         }
-        if !input.is_empty() {
-            return Err(format!("{} trailing bytes after journal", input.len()));
+        if r.remaining() != 0 {
+            return Err(format!("{} trailing bytes after journal", r.remaining()));
         }
         Ok(report)
     }

@@ -22,6 +22,7 @@ pub mod quad_heap;
 pub mod rng;
 pub mod trace;
 pub mod vec_agenda;
+pub mod wire;
 
 pub use agenda::{Agenda, AgendaSnapshot, EventHandle, SlotSnapshot, Time};
 pub use quad_heap::{PackedEvent, QuadHeap};

@@ -28,6 +28,7 @@
 //! freezes that guarantee against committed snapshots.
 
 use crate::agenda::Time;
+use crate::wire::{Codec, Leb, Reader, WireError};
 use std::fmt;
 use std::io::{self, Write};
 
@@ -958,29 +959,13 @@ const TAGS: [&str; 27] = [
     "task-defer",
 ];
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = *buf.get(*pos).ok_or("truncated varint")?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err("varint exceeds 64 bits".into())
+/// One LEB128 field of a binary record (the shared [`crate::wire`]
+/// reader: overflow and non-minimal encodings are errors).
+fn get_varint(r: &mut Reader<'_>) -> Result<u64, String> {
+    Leb.get(r).map_err(|e| match e {
+        WireError::Truncated => "truncated varint".to_string(),
+        WireError::Corrupt(what) => what.to_string(),
+    })
 }
 
 impl TraceRecord {
@@ -1060,24 +1045,24 @@ impl TraceRecord {
     pub fn write_binary(&self, out: &mut Vec<u8>) {
         let (tag, fields, n) = self.payload();
         out.push(tag);
-        put_varint(out, self.time);
-        for &f in &fields[..n] {
-            put_varint(out, f);
+        Leb.put(out, &self.time);
+        for f in &fields[..n] {
+            Leb.put(out, f);
         }
     }
 
     /// Decodes one record at `pos`, advancing it.
     pub fn read_binary(buf: &[u8], pos: &mut usize) -> Result<TraceRecord, String> {
-        let tag = *buf.get(*pos).ok_or("truncated record")?;
-        *pos += 1;
+        let mut r = Reader::new(buf.get(*pos..).unwrap_or_default());
+        let tag = r.u8().map_err(|_| "truncated record")?;
         let kind = *TAGS
             .get(tag as usize)
             .ok_or_else(|| format!("unknown binary tag {tag}"))?;
-        let time = get_varint(buf, pos)?;
+        let time = get_varint(&mut r)?;
         let narrow = |v: u64, what: &str| -> Result<u32, String> {
             u32::try_from(v).map_err(|_| format!("{kind}: {what} overflows u32"))
         };
-        let mut next = || get_varint(buf, pos);
+        let mut next = || get_varint(&mut r);
         let event = match kind {
             "transfer-start" | "transfer-complete" => {
                 let (node, child, work) = (next()?, next()?, next()?);
@@ -1210,6 +1195,7 @@ impl TraceRecord {
             },
             _ => unreachable!("kind comes from TAGS"),
         };
+        *pos += r.pos();
         Ok(TraceRecord { time, event })
     }
 }
@@ -1417,6 +1403,18 @@ mod tests {
         let bin = to_binary(&records);
         assert!(from_binary(&bin[..bin.len() - 1]).is_err());
         assert!(from_binary(&[200]).is_err());
+        // A tenth varint byte above 1 overflows u64: an error, not a
+        // silently wrapped time.
+        let reissue = TAGS.iter().position(|&k| k == "task-reissue").unwrap() as u8;
+        let mut overflow = vec![reissue];
+        overflow.extend([0xff; 9]);
+        overflow.extend([0x02, 0x01]);
+        assert_eq!(from_binary(&overflow), Err("varint overflow".to_string()));
+        // Padded (non-minimal) varints have a shorter form; rejected.
+        assert_eq!(
+            from_binary(&[reissue, 0x85, 0x00, 0x01]),
+            Err("non-minimal varint".to_string())
+        );
     }
 
     #[test]
