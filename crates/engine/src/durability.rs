@@ -11,8 +11,9 @@
 //! 2. **Detection.** Every file carries a `BCCK` container: magic, format
 //!    version, a *kind* tag (so a campaign checkpoint can never be fed to
 //!    the server recovery path), the payload length, and an FNV-1a checksum
-//!    over the payload. Truncation, bit-flips, and foreign files all decode
-//!    to a typed [`CheckpointError`] — never a panic, never silent garbage.
+//!    over the payload. Truncation, appended bytes, bit-flips, and foreign
+//!    files all decode to a typed [`CheckpointError`] — never a panic,
+//!    never silent garbage.
 //! 3. **Fallback.** Files are generation-numbered (`prefix-<gen>.bcc`).
 //!    [`CheckpointStore::load_latest`] walks generations newest-first and
 //!    returns the first one that verifies, reporting every generation it
@@ -99,6 +100,8 @@ pub enum CheckpointError {
     },
     /// Payload bytes do not match the stored checksum — torn or bit-flipped.
     ChecksumMismatch,
+    /// Bytes follow the checksum: the file is longer than its frame says.
+    TrailingBytes(usize),
     /// No generation in the store survived verification.
     NoUsableGeneration,
 }
@@ -120,6 +123,9 @@ impl std::fmt::Display for CheckpointError {
                 )
             }
             CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
+            CheckpointError::TrailingBytes(n) => {
+                write!(f, "checkpoint has {n} bytes after its checksum")
+            }
             CheckpointError::NoUsableGeneration => {
                 write!(f, "no usable checkpoint generation found")
             }
@@ -167,7 +173,8 @@ pub fn encode_container(kind: CheckpointKind, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Unframe a `BCCK` container, verifying magic, version, kind, length, and
-/// checksum. Total: every byte string maps to `Ok` or a typed error.
+/// checksum, and that nothing follows the checksum. Total: every byte
+/// string maps to `Ok` or a typed error.
 pub fn decode_container(kind: CheckpointKind, bytes: &[u8]) -> Result<Vec<u8>, CheckpointError> {
     let truncated = |_| CheckpointError::Truncated;
     // A foreign magic is reported as such even when the file is too short
@@ -194,6 +201,9 @@ pub fn decode_container(kind: CheckpointKind, bytes: &[u8]) -> Result<Vec<u8>, C
     let stored: u64 = r.get(&Le).map_err(truncated)?;
     if fnv1a64(payload) != stored {
         return Err(CheckpointError::ChecksumMismatch);
+    }
+    if r.remaining() != 0 {
+        return Err(CheckpointError::TrailingBytes(r.remaining()));
     }
     // Kind is checked *after* integrity so a bit-flip in the kind byte
     // reports as corruption-adjacent (UnknownKind/WrongKind) only when the
@@ -442,6 +452,22 @@ mod tests {
     }
 
     #[test]
+    fn container_rejects_trailing_bytes() {
+        let mut framed = encode_container(CheckpointKind::Campaign, b"payload");
+        framed.extend_from_slice(&[0xA5; 32]);
+        assert!(matches!(
+            decode_container(CheckpointKind::Campaign, &framed),
+            Err(CheckpointError::TrailingBytes(32))
+        ));
+        // One extra byte is enough.
+        framed.truncate(framed.len() - 31);
+        assert!(matches!(
+            decode_container(CheckpointKind::Campaign, &framed),
+            Err(CheckpointError::TrailingBytes(1))
+        ));
+    }
+
+    #[test]
     fn container_hostile_length_does_not_allocate() {
         // A giant declared length with few actual bytes must fail fast.
         let mut bytes = Vec::new();
@@ -506,6 +532,29 @@ mod tests {
 
         let loaded = store.load_latest().unwrap().unwrap();
         assert_eq!(loaded.payload, b"old but intact");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_skips_newest_with_trailing_junk() {
+        let dir = tmp_dir("trailing");
+        let mut store = CheckpointStore::open(&dir, "camp", CheckpointKind::Campaign, 4).unwrap();
+        store.save(b"previous generation").unwrap();
+        let g1 = store.save(b"newest generation").unwrap();
+        let path = store.path_for(g1);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[0u8; 32]);
+        fs::write(&path, &bytes).unwrap();
+
+        let loaded = store.load_latest().unwrap().unwrap();
+        assert_eq!(loaded.generation, 0);
+        assert_eq!(loaded.payload, b"previous generation");
+        assert_eq!(loaded.skipped.len(), 1);
+        assert_eq!(loaded.skipped[0].generation, g1);
+        assert!(matches!(
+            loaded.skipped[0].error,
+            CheckpointError::TrailingBytes(32)
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,6 +14,9 @@ use bc_simcore::wire::{Arr, Codec, Le, Reader, Seq, WireError};
 use bc_simcore::{split_seed, wire_struct};
 use bc_steady::SteadyState;
 use rayon::prelude::*;
+use std::convert::Infallible;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Log-2 bucket count of the streaming histograms (onset times up to
 /// 2^15 and buffer pools up to 2^15 resolve to distinct buckets; larger
@@ -219,7 +222,7 @@ fn log2_bucket(v: u64) -> usize {
 /// rate is accumulated in fixed point (microtasks per timestep, rounded
 /// from the correctly-rounded `to_f64` of the exact rational) for the
 /// same reason — an `f64` sum would be grouping-sensitive.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CampaignAccumulator {
     /// Raw engine-level facts (events, end times, buffers, faults).
     pub run_stats: RunStatsAccumulator,
@@ -248,26 +251,6 @@ pub struct CampaignAccumulator {
     /// Sum of optimal rates in fixed point (microtasks per timestep,
     /// `round(rate * 1e6)` per tree).
     pub rate_micros_sum: u128,
-}
-
-impl Default for CampaignAccumulator {
-    fn default() -> Self {
-        CampaignAccumulator {
-            run_stats: RunStatsAccumulator::default(),
-            reached: 0,
-            onset_sum: 0,
-            onset_max: 0,
-            onset_hist: [0; HIST_BUCKETS],
-            max_buffers_hist: [0; HIST_BUCKETS],
-            nodes_sum: 0,
-            nodes_max: 0,
-            depth_sum: 0,
-            depth_max: 0,
-            used_size_sum: 0,
-            used_depth_sum: 0,
-            rate_micros_sum: 0,
-        }
-    }
 }
 
 impl CampaignAccumulator {
@@ -410,9 +393,10 @@ pub fn accumulate_materialized(runs: &[(TreeRun, RunResult)]) -> CampaignAccumul
 /// Runs a campaign in streaming sharded mode: trees are processed in
 /// contiguous shards of `shard_size`, each worker folding its shard
 /// into a [`CampaignAccumulator`] (per-tree results die immediately),
-/// and shard accumulators are merged in shard order. Peak memory is
-/// `O(trees / shard_size)` accumulators plus one in-flight tree per
-/// worker — sub-linear in tree count — instead of `O(trees)` summaries.
+/// and shard accumulators are merged in shard order on the calling
+/// thread as they arrive. Peak memory is one in-flight shard per worker
+/// plus the accumulators of shards that finished ahead of a slower one,
+/// instead of `O(trees)` summaries.
 ///
 /// Results are bit-identical to folding the materialized path's output
 /// through the same accumulator, at any thread count and shard size.
@@ -421,28 +405,94 @@ pub fn run_campaign_streaming(
     shard_size: usize,
     make_config: impl Fn(u64) -> SimConfig + Sync,
 ) -> CampaignAccumulator {
-    assert!(shard_size >= 1, "shard_size must be at least 1");
-    let shards = campaign.trees.div_ceil(shard_size);
-    let shard_accs: Vec<CampaignAccumulator> = (0..shards)
-        .into_par_iter()
-        .map_init(SimWorkspace::new, |ws, s| {
-            let start = s * shard_size;
-            let end = ((s + 1) * shard_size).min(campaign.trees);
-            let mut acc = CampaignAccumulator::new();
-            for i in start..end {
-                let p = campaign.prepare(i);
-                let result = ws.run(p.tree.clone(), make_config(campaign.tasks));
-                acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
-            }
-            acc
-        })
-        .collect();
-    // Deterministic shard-order merge (collect preserves input order).
     let mut total = CampaignAccumulator::new();
-    for acc in &shard_accs {
-        total.merge(acc);
-    }
+    let Ok(()) = stream_shards::<Infallible>(
+        std::slice::from_ref(campaign),
+        shard_size,
+        0..shard_count(campaign.trees, shard_size),
+        |_| make_config(campaign.tasks),
+        |_, _, acc| {
+            total.merge(&acc);
+            Ok(())
+        },
+    );
     total
+}
+
+/// Shards a campaign of `trees` trees splits into.
+fn shard_count(trees: usize, shard_size: usize) -> usize {
+    assert!(shard_size >= 1, "shard_size must be at least 1");
+    trees.div_ceil(shard_size)
+}
+
+/// Runs shards `todo` of `campaigns` and hands each shard's accumulator
+/// to `fold(shard, campaign, acc)` on the calling thread, in shard
+/// order. Each campaign is cut into `shard_size`-tree shards, listed
+/// campaign by campaign; all campaigns have the same tree count.
+///
+/// `rayon::current_num_threads()` scoped workers each keep one
+/// `SimWorkspace` for the whole pass and claim one shard at a time off
+/// an atomic cursor, so no worker waits on another or on `fold` (where
+/// checkpoint saves run). Shards that finish ahead of the oldest
+/// unfinished one wait in a reorder buffer. A `fold` error, or a panic
+/// in a shard, drops the channel, so each worker stops at its next send;
+/// the error is returned (the panic resumed) once all have joined. At
+/// one worker everything runs inline on the calling thread.
+fn stream_shards<E>(
+    campaigns: &[CampaignConfig],
+    shard_size: usize,
+    todo: std::ops::Range<usize>,
+    make_config: impl Fn(usize) -> SimConfig + Sync,
+    mut fold: impl FnMut(usize, usize, CampaignAccumulator) -> Result<(), E>,
+) -> Result<(), E> {
+    let per = campaigns
+        .first()
+        .map_or(1, |c| shard_count(c.trees, shard_size).max(1));
+    let shard = &|ws: &mut SimWorkspace, w: usize| {
+        let (campaign, start) = (&campaigns[w / per], w % per * shard_size);
+        let mut acc = CampaignAccumulator::new();
+        for i in start..campaign.trees.min(start + shard_size) {
+            let p = campaign.prepare(i);
+            let result = ws.run(p.tree.clone(), make_config(w / per));
+            acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
+        }
+        acc
+    };
+    let workers = rayon::current_num_threads().min(todo.len());
+    if workers <= 1 {
+        let ws = &mut SimWorkspace::new();
+        return todo
+            .into_iter()
+            .try_for_each(|w| fold(w, w / per, shard(ws, w)));
+    }
+    let next = &AtomicUsize::new(todo.start);
+    let end = todo.end;
+    std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for tx in vec![tx; workers] {
+            scope.spawn(move || {
+                let mut ws = SimWorkspace::new();
+                let claims = std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)));
+                for w in claims.take_while(|&w| w < end) {
+                    let acc = panic::catch_unwind(AssertUnwindSafe(|| shard(&mut ws, w)));
+                    let panicked = acc.is_err();
+                    if tx.send((w, acc)).is_err() || panicked {
+                        return;
+                    }
+                }
+            });
+        }
+        let mut ahead = std::collections::BTreeMap::new();
+        let mut want = todo.start;
+        for (w, acc) in rx {
+            ahead.insert(w, acc.unwrap_or_else(|p| panic::resume_unwind(p)));
+            while let Some(acc) = ahead.remove(&want) {
+                fold(want, want / per, acc)?;
+                want += 1;
+            }
+        }
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -572,55 +622,29 @@ pub struct GridCell {
 /// accumulator per cell (cell order).
 ///
 /// The (cell, shard) pairs of the entire sweep are flattened into one
-/// parallel work queue, so workers stay busy across cell boundaries and
-/// each worker's `SimWorkspace` stays thread-affine for the whole
-/// sweep. Shard accumulators are merged into their cells in canonical
-/// shard order, keeping the per-cell aggregates bit-identical at any
-/// thread count.
+/// work list, so workers stay busy across cell boundaries and each
+/// worker's `SimWorkspace` stays thread-affine for the whole sweep.
+/// Shard accumulators are merged into their cells in work-list order,
+/// keeping the per-cell aggregates bit-identical at any thread count.
 pub fn run_grid_streaming(
     grid: &CampaignGrid,
     shard_size: usize,
     make_config: impl Fn(&GridCell) -> SimConfig + Sync,
 ) -> Vec<(GridCell, CampaignAccumulator)> {
-    assert!(shard_size >= 1, "shard_size must be at least 1");
     let cells = grid.cells();
     let campaigns: Vec<CampaignConfig> = cells.iter().map(|c| grid.cell_campaign(c)).collect();
-    // Flatten (cell, shard) tasks in canonical order.
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for (ci, _) in cells.iter().enumerate() {
-        let mut start = 0;
-        while start < grid.trees_per_cell {
-            let end = (start + shard_size).min(grid.trees_per_cell);
-            tasks.push((ci, start, end));
-            start = end;
-        }
-    }
-    let cells_ref = &cells;
-    let campaigns_ref = &campaigns;
-    let make_config_ref = &make_config;
-    let shard_accs: Vec<(usize, CampaignAccumulator)> = tasks
-        .into_par_iter()
-        .map_init(SimWorkspace::new, move |ws, (ci, start, end)| {
-            let cell = &cells_ref[ci];
-            let campaign = &campaigns_ref[ci];
-            let mut acc = CampaignAccumulator::new();
-            for i in start..end {
-                let p = campaign.prepare(i);
-                let result = ws.run(p.tree.clone(), make_config_ref(cell));
-                acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
-            }
-            (ci, acc)
-        })
-        .collect();
-    // Merge shards into cells in canonical order.
-    let mut out: Vec<(GridCell, CampaignAccumulator)> = cells
-        .into_iter()
-        .map(|c| (c, CampaignAccumulator::new()))
-        .collect();
-    for (ci, acc) in &shard_accs {
-        out[*ci].1.merge(acc);
-    }
-    out
+    let mut accs = vec![CampaignAccumulator::new(); cells.len()];
+    let Ok(()) = stream_shards::<Infallible>(
+        &campaigns,
+        shard_size,
+        0..cells.len() * shard_count(grid.trees_per_cell, shard_size),
+        |ci| make_config(&cells[ci]),
+        |_, ci, acc| {
+            accs[ci].merge(&acc);
+            Ok(())
+        },
+    );
+    cells.into_iter().zip(accs).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -864,9 +888,12 @@ impl GridCheckpoint {
 /// `policy.resume` picks up at the last checkpointed cursor and
 /// produces final per-cell aggregates **bit-identical** to an
 /// uninterrupted run: work items are deterministic in their (cell,
-/// shard) coordinates alone, and the chunked merge performs the same
-/// per-cell merge sequence as the unchunked one (the accumulators'
-/// merge being associative with `default()` as identity).
+/// shard) coordinates alone, and shards are folded in work-list order,
+/// so every generation holds exactly the folded prefix of the list.
+///
+/// Saves run on the calling thread while the workers keep simulating;
+/// they land at the cursors `first + k·every_shards` and at the stop
+/// point, whatever the thread count or the order shards finish in.
 ///
 /// At most `every_shards` work items are re-simulated after a crash —
 /// re-running a shard is idempotent by determinism, so a kill *between*
@@ -878,18 +905,9 @@ pub fn run_grid_streaming_checkpointed(
     make_config: impl Fn(&GridCell) -> SimConfig + Sync,
     policy: &CheckpointPolicy,
 ) -> Result<ResumableOutcome<Vec<(GridCell, CampaignAccumulator)>>, ResumeError> {
-    assert!(shard_size >= 1, "shard_size must be at least 1");
     let cells = grid.cells();
     let campaigns: Vec<CampaignConfig> = cells.iter().map(|c| grid.cell_campaign(c)).collect();
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for (ci, _) in cells.iter().enumerate() {
-        let mut start = 0;
-        while start < grid.trees_per_cell {
-            let end = (start + shard_size).min(grid.trees_per_cell);
-            tasks.push((ci, start, end));
-            start = end;
-        }
-    }
+    let shards = cells.len() * shard_count(grid.trees_per_cell, shard_size);
     let fingerprint = grid_fingerprint(grid, shard_size);
     let mut store =
         CheckpointStore::open(&policy.dir, "grid", CheckpointKind::Campaign, policy.keep)?;
@@ -902,60 +920,35 @@ pub fn run_grid_streaming_checkpointed(
     let mut resumed_from_generation = None;
     if policy.resume {
         if let Some(loaded) = store.load_latest()? {
-            state = GridCheckpoint::from_payload(
-                &loaded.payload,
-                fingerprint,
-                cells.len(),
-                tasks.len(),
-            )?;
+            state =
+                GridCheckpoint::from_payload(&loaded.payload, fingerprint, cells.len(), shards)?;
             resumed_from_generation = Some(loaded.generation);
         }
     }
 
-    let cells_ref = &cells;
-    let campaigns_ref = &campaigns;
-    let make_config_ref = &make_config;
-    let mut cursor = state.cursor as usize;
-    let mut done_this_run = 0usize;
+    let first = state.cursor as usize;
     let every = policy.every_shards.max(1);
-    while cursor < tasks.len() {
-        let mut chunk_end = (cursor + every).min(tasks.len());
-        if let Some(stop) = policy.stop_after_shards {
-            let left = stop.saturating_sub(done_this_run);
-            if left == 0 {
-                break;
+    let stop = (policy.stop_after_shards).map_or(shards, |s| shards.min(first.saturating_add(s)));
+    stream_shards(
+        &campaigns,
+        shard_size,
+        first..stop,
+        |ci| make_config(&cells[ci]),
+        |w, ci, acc| {
+            state.cells[ci].merge(&acc);
+            let cursor = w + 1;
+            if (cursor - first).is_multiple_of(every) || cursor == stop {
+                state.cursor = cursor as u64;
+                store.save(&state.to_payload())?;
             }
-            chunk_end = chunk_end.min(cursor + left);
-        }
-        let chunk_accs: Vec<(usize, CampaignAccumulator)> = tasks[cursor..chunk_end]
-            .par_iter()
-            .map_init(SimWorkspace::new, move |ws, &(ci, start, end)| {
-                let cell = &cells_ref[ci];
-                let campaign = &campaigns_ref[ci];
-                let mut acc = CampaignAccumulator::new();
-                for i in start..end {
-                    let p = campaign.prepare(i);
-                    let result = ws.run(p.tree.clone(), make_config_ref(cell));
-                    acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
-                }
-                (ci, acc)
-            })
-            .collect();
-        // Same canonical merge order as the unchunked path: work-list
-        // order, grouped — merge associativity makes the grouping moot.
-        for (ci, acc) in &chunk_accs {
-            state.cells[*ci].merge(acc);
-        }
-        done_this_run += chunk_end - cursor;
-        cursor = chunk_end;
-        state.cursor = cursor as u64;
-        store.save(&state.to_payload())?;
-    }
+            Ok::<_, ResumeError>(())
+        },
+    )?;
 
     Ok(ResumableOutcome {
-        completed: cursor == tasks.len(),
-        shards_done: cursor,
-        shards_total: tasks.len(),
+        completed: stop == shards,
+        shards_done: stop,
+        shards_total: shards,
         resumed_from_generation,
         results: cells.into_iter().zip(state.cells).collect(),
     })
